@@ -319,7 +319,7 @@ def _reduce_neutral(op, dtype):
         return dtype.type(0)
     if op is ReduceOp.PROD:
         return dtype.type(1)
-    big = np.finfo(dtype).max if dtype.kind == "f" else np.iinfo(dtype).max
+    big = np.inf if dtype.kind == "f" else np.iinfo(dtype).max
     small = -np.inf if dtype.kind == "f" else np.iinfo(dtype).min
     return dtype.type(small) if op is ReduceOp.MAX else dtype.type(big)
 

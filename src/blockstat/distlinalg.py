@@ -158,10 +158,6 @@ def _dvec_partition(x):
     return x.partition if isinstance(x, DistArray) else x.parent.partition
 
 
-def _vlen(x):
-    return x.shape[0] if not isinstance(x, np.ndarray) else x.shape[0]
-
-
 def _gather_into(dist, tmp):
     """Gather a column-split matrix into the replicated buffer ``tmp``."""
     rows = dist.shape[0]

@@ -34,7 +34,7 @@ from .distarray import (
     transpose,
     zeros,
 )
-from .distlinalg import diag_fill, diag_get, matmul, opnorm
+from .distlinalg import diag_fill, diag_get, dot, matmul, opnorm
 
 
 class DegenerateConfigError(RuntimeError):
@@ -83,14 +83,14 @@ class NmfState:
     Vt: DistArray          # r x m, transpose of the left factor
     W: DistArray           # r x n
     WXt: DistArray         # r x m
-    WWt: np.ndarray        # r x r replicated
+    WWt: np.ndarray        # r x r replicated W W^t, kept current with W during a call
     WWtVt: DistArray       # r x m
     VtX: DistArray         # r x n
     VtV: np.ndarray        # r x r replicated
     VtVW: DistArray        # r x n
-    resid: DistArray       # m x n, objective evaluation buffer
     tmp: np.ndarray        # r x m replicated matmul staging
     eps: float
+    X_sqnorm: float        # ||X||_F^2, the fixed term of the traced objective
     trace: list = field(default_factory=list)
 
 
@@ -115,25 +115,35 @@ def nmf_init(x, rank, seed=None, eps=1e-10):
         VtX=empty((rank, n), comm, dt),
         VtV=np.empty((rank, rank), dtype=dt, order="F"),
         VtVW=empty((rank, n), comm, dt),
-        resid=empty((m, n), comm, dt),
         tmp=np.empty((rank, m), dtype=dt, order="F"),
         eps=eps,
+        X_sqnorm=dot(x, x),
     )
 
 
-def nmf_objective(x, vt, w, state=None):
-    """Squared Frobenius norm of ``X - V W`` (V given transposed)."""
-    if state is None:
-        resid = empty(x.shape, x.comm, x.dtype)
-        tmp = None
-    else:
-        resid, tmp = state.resid, state.tmp
-    matmul(resid, transpose(vt), w, tmp=tmp)
-    d = x.local - resid.local
-    part = float(np.dot(np.ravel(d, order="F"), np.ravel(d, order="F")))
-    buf = np.array([part])
-    x.comm.allreduce(buf, ReduceOp.SUM)
-    return buf[0].item()
+def nmf_objective(x, vt, w):
+    """Squared Frobenius norm of ``X - V W`` (V given transposed).
+
+    Forms the m x n residual explicitly: the exact reference for the
+    solvers' traced objective (see :func:`_nmf_gram_objective`).
+    """
+    resid = empty(x.shape, x.comm, x.dtype)
+    matmul(resid, transpose(vt), w)
+    np.subtract(x.local, resid.local, out=resid.local)
+    return dot(resid, resid)
+
+
+def _nmf_gram_objective(s):
+    """``||X - V W||_F^2`` as ``||X||^2 - 2 <Vt X, W> + <Vt V, W W^t>``.
+
+    Uses only the r-row products the W-half of an update leaves in ``s``
+    (``VtX``, ``VtV``, and ``WWt`` of the new ``W``): one scalar allreduce
+    instead of an m x n product.  Cancellation costs relative accuracy once
+    the objective is much smaller than ``||X||^2``; the value is clamped at 0.
+    """
+    cross = dot(s.VtX, s.W)
+    gram = float(np.dot(np.ravel(s.VtV, order="F"), np.ravel(s.WWt, order="F")))
+    return max(s.X_sqnorm - 2.0 * cross + gram, 0.0)
 
 
 def _nmf_check(state):
@@ -142,13 +152,18 @@ def _nmf_check(state):
 
 
 def nmf_multiplicative(state, iters, trace_every=1):
-    """Multiplicative updates; the objective is nonincreasing."""
+    """Multiplicative updates; the objective is nonincreasing.
+
+    ``trace`` entry k is the objective at the iterate update k produced,
+    from the Gram identity of :func:`_nmf_gram_objective` (no m x n work;
+    :func:`nmf_objective` is the exact alternative).
+    """
     s = state
     _nmf_check(s)
     eps = s.eps
+    matmul(s.WWt, s.W, transpose(s.W))
     for it in range(iters):
         matmul(s.WXt, s.W, transpose(s.X), tmp=s.tmp)
-        matmul(s.WWt, s.W, transpose(s.W))
         matmul(s.WWtVt, s.WWt, s.Vt)
         map_broadcast(s.Vt, lambda v, num, den: v * num / (den + eps),
                       s.Vt, s.WXt, s.WWtVt)
@@ -157,19 +172,23 @@ def nmf_multiplicative(state, iters, trace_every=1):
         matmul(s.VtVW, s.VtV, s.W)
         map_broadcast(s.W, lambda w, num, den: w * num / (den + eps),
                       s.W, s.VtX, s.VtVW)
+        matmul(s.WWt, s.W, transpose(s.W))
         if trace_every and it % trace_every == 0:
-            s.trace.append(nmf_objective(s.X, s.Vt, s.W, state=s))
+            s.trace.append(_nmf_gram_objective(s))
     return s
 
 
 def nmf_apg(state, iters, trace_every=1):
-    """Alternating projected gradient with Frobenius-norm step sizes."""
+    """Alternating projected gradient with Frobenius-norm step sizes.
+
+    The trace is recorded as in :func:`nmf_multiplicative`.
+    """
     s = state
     _nmf_check(s)
     eps = s.eps
+    matmul(s.WWt, s.W, transpose(s.W))
     for it in range(iters):
         matmul(s.WXt, s.W, transpose(s.X), tmp=s.tmp)
-        matmul(s.WWt, s.W, transpose(s.W))
         matmul(s.WWtVt, s.WWt, s.Vt)
         sigma = 1.0 / (2.0 * float(np.sum(s.WWt ** 2)) + eps)
         map_broadcast(s.Vt, lambda v, vww, xw: np.maximum(0.0, v - sigma * (vww - xw)),
@@ -180,8 +199,9 @@ def nmf_apg(state, iters, trace_every=1):
         tau = 1.0 / (2.0 * float(np.sum(s.VtV ** 2)) + eps)
         map_broadcast(s.W, lambda w, vvw, vx: np.maximum(0.0, w - tau * (vvw - vx)),
                       s.W, s.VtVW, s.VtX)
+        matmul(s.WWt, s.W, transpose(s.W))
         if trace_every and it % trace_every == 0:
-            s.trace.append(nmf_objective(s.X, s.Vt, s.W, state=s))
+            s.trace.append(_nmf_gram_objective(s))
     return s
 
 

@@ -371,6 +371,17 @@ def test_reduce_all_min_and_3d():
         np.testing.assert_allclose(scanned, np.cumsum(cube, axis=2), rtol=1e-12)
 
 
+@pytest.mark.parametrize("op,value", [(ReduceOp.MIN, np.inf), (ReduceOp.MAX, -np.inf)])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_reduce_all_empty_block_is_neutral_for_infinities(op, value, p):
+    # one column: every rank past the first owns an empty block
+    def fn(comm):
+        a = distribute(np.full((2, 1), value) if comm.rank == 0 else None, comm)
+        return reduce_all(a, op)
+
+    assert run_inproc(p, fn) == [value] * p
+
+
 def test_gather_widths_reconcatenate():
     def fn(comm):
         a = empty((3, 7), comm)

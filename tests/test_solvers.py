@@ -5,7 +5,7 @@ import pytest
 
 from blockstat.comm import run_inproc
 from blockstat.distarray import distribute, empty, gather_full, zeros
-from blockstat.distlinalg import pairwise_euclidean
+from blockstat.distlinalg import dot, pairwise_euclidean
 from blockstat.solvers import (
     ConvergenceMonitor,
     DegenerateConfigError,
@@ -166,6 +166,52 @@ def test_nmf_rank_count_independent_traces(algorithm):
     }
     for p in (2, 4):
         np.testing.assert_allclose(traces[p], traces[1], rtol=1e-10)
+
+
+@pytest.mark.parametrize("algorithm", [nmf_multiplicative, nmf_apg])
+@pytest.mark.parametrize("p", [1, 2, 4])
+def test_nmf_trace_matches_exact_objective(algorithm, p):
+    def fn(comm):
+        from blockstat.distarray import rand_fill
+
+        x = empty((9, 7), comm)  # uneven blocks at p = 2 and 4
+        rand_fill(x, seed=60, common_init=True)
+        state = nmf_init(x, 3, seed=61)
+        exact = []
+        for _ in range(20):
+            algorithm(state, 1)
+            exact.append(nmf_objective(state.X, state.Vt, state.W))
+        return state.trace, exact
+
+    for trace, exact in run_inproc(p, fn):
+        assert len(trace) == 20
+        np.testing.assert_allclose(trace, exact, rtol=1e-10)
+
+
+def test_nmf_multiplicative_exact_factorization_trace_clamps_at_zero():
+    gen = rng(30)
+    vt_d = gen.integers(1, 4, size=(2, 5)).astype(np.float64)
+    w_d = gen.integers(1, 4, size=(2, 6)).astype(np.float64)
+    x_d = vt_d.T @ w_d  # eps in the update moves the factors off it by ~1e-12
+
+    def fn(comm):
+        state = nmf_init(_dist(comm, x_d), 2, seed=1)
+        state.Vt.local[...] = _dist(comm, vt_d).local
+        state.W.local[...] = _dist(comm, w_d).local
+        raw, exact = [], []
+        for _ in range(10):
+            nmf_multiplicative(state, 1)
+            # the solver's Gram identity, term for term, before clamping
+            gram = np.dot(np.ravel(state.VtV, order="F"), np.ravel(state.WWt, order="F"))
+            raw.append(state.X_sqnorm - 2.0 * dot(state.VtX, state.W) + float(gram))
+            exact.append(nmf_objective(state.X, state.Vt, state.W))
+        return state.trace, raw, exact, state.X_sqnorm
+
+    for trace, raw, exact, x_sqnorm in run_inproc(2, fn):
+        assert min(raw) < 0.0
+        np.testing.assert_array_equal(trace, np.maximum(raw, 0.0))
+        assert max(exact) < 1e-18
+        assert max(trace) <= 8 * np.finfo(np.float64).eps * x_sqnorm
 
 
 def test_nmf_apg_exact_factorization_is_fixed_point():
