@@ -380,14 +380,10 @@ def _pack_header(header):
 def _unpack_header(body):
     base = struct.calcsize(_HEADER_FMT)
     op, seq, dtype, redop, root, send_len, recv_len, ncounts = struct.unpack_from(_HEADER_FMT, body)
-    counts = None
-    offset = base
-    if ncounts:
-        counts = struct.unpack_from(f"<{ncounts}Q", body, base)
-        offset += ncounts * 8
+    counts = struct.unpack_from(f"<{ncounts}Q", body, base) if ncounts else None
     header = {"op": _OP_NAMES[op], "seq": seq, "dtype": dtype, "redop": redop,
               "root": root, "send_len": send_len, "recv_len": recv_len, "counts": counts}
-    return header, body[offset:]
+    return header, body[base + 8 * ncounts:]
 
 
 def _send_frame(sock, body):
@@ -454,9 +450,13 @@ class _SocketCommunicator(Communicator):
         headers = [header]
         payloads = [payload]
         for r in range(1, self.size):
-            h, raw = _unpack_header(_recv_frame(self._peers[r]))
+            frame = _recv_frame(self._peers[r])
+            try:  # unknown op/dtype code, short header, ragged payload
+                h, raw = _unpack_header(frame)
+                payloads.append(_payload_array(raw, h["dtype"]))
+            except (KeyError, struct.error, ValueError) as exc:
+                raise CommError(f"malformed frame from rank {r}: {exc!r}") from exc
             headers.append(h)
-            payloads.append(_payload_array(raw, h["dtype"]))
         try:
             _validate_headers(headers)
         except CollectiveContractError as exc:

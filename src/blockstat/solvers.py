@@ -7,7 +7,8 @@ dense copy:
   projected gradient),
 * multidimensional scaling by majorization-minimization,
 * L1-regularized Cox proportional-hazards regression by proximal gradient,
-  with the m x m weight matrix replaced by a fused accumulation.
+  with the risk-set sums P delta formed on every rank by one reverse cumulative
+  sum (:func:`pi_delta` is the distributed reference).
 
 All solver state lives in per-rank dataclasses holding the distributed
 operands plus preallocated workspaces; every inter-rank interaction happens
@@ -27,7 +28,6 @@ from .distarray import (
     DistArray,
     empty,
     map_broadcast,
-    partition_of,
     rand_fill,
     reduce_all,
     reduce_into,
@@ -146,20 +146,15 @@ def _nmf_gram_objective(s):
     return max(s.X_sqnorm - 2.0 * cross + gram, 0.0)
 
 
-def _nmf_check(state):
-    if reduce_all(state.X, ReduceOp.MIN) < 0:
-        raise ValueError("NMF requires nonnegative data")
-
-
 def nmf_multiplicative(state, iters, trace_every=1):
     """Multiplicative updates; the objective is nonincreasing.
 
     ``trace`` entry k is the objective at the iterate update k produced,
     from the Gram identity of :func:`_nmf_gram_objective` (no m x n work;
-    :func:`nmf_objective` is the exact alternative).
+    :func:`nmf_objective` is the exact alternative).  ``X`` must not be
+    modified after :func:`nmf_init`, which checks it and caches ``||X||^2``.
     """
     s = state
-    _nmf_check(s)
     eps = s.eps
     matmul(s.WWt, s.W, transpose(s.W))
     for it in range(iters):
@@ -181,10 +176,10 @@ def nmf_multiplicative(state, iters, trace_every=1):
 def nmf_apg(state, iters, trace_every=1):
     """Alternating projected gradient with Frobenius-norm step sizes.
 
-    The trace is recorded as in :func:`nmf_multiplicative`.
+    The trace is recorded as in :func:`nmf_multiplicative`; as there, ``X``
+    must not be modified after :func:`nmf_init`.
     """
     s = state
-    _nmf_check(s)
     eps = s.eps
     matmul(s.WWt, s.W, transpose(s.W))
     for it in range(iters):
@@ -346,12 +341,8 @@ class CoxState:
     pd: np.ndarray         # (m,) replicated P delta
     grad: DistArray        # length-n distributed gradient
     cuts: np.ndarray       # (m,) last index of each tied block (arange if no ties)
+    starts: np.ndarray     # (m,) first index of each tied block (arange if no ties)
     trace: list = field(default_factory=list)
-
-
-def _tie_cuts(y):
-    neg = -np.asarray(y, dtype=np.float64)
-    return np.searchsorted(neg, neg, side="right").astype(np.int64) - 1
 
 
 def cox_init(x, y, delta, lam, sigma=None, ties="none"):
@@ -372,7 +363,7 @@ def cox_init(x, y, delta, lam, sigma=None, ties="none"):
             raise ValueError("tied observed times need ties='breslow'")
         cuts = np.arange(m, dtype=np.int64)
     elif ties == "breslow":
-        cuts = _tie_cuts(y)
+        cuts = np.searchsorted(-y, -y, side="right").astype(np.int64) - 1
     else:
         raise ValueError(f"unknown tie mode {ties!r}")
     if sigma is None:
@@ -390,6 +381,7 @@ def cox_init(x, y, delta, lam, sigma=None, ties="none"):
         pd=np.empty(m, dtype=x.dtype),
         grad=empty((n,), x.comm, x.dtype),
         cuts=cuts,
+        starts=np.searchsorted(cuts, np.arange(m), side="left"),
     )
 
 
@@ -410,12 +402,17 @@ def _risk_weights(state):
     np.cumsum(s.w, out=s.W)
 
 
+def _cox_loglik(s, Wc):
+    """Log partial likelihood from ``Xbeta`` and the risk sums ``Wc = W[cuts]``."""
+    return float(np.sum(s.delta * (s.Xbeta - np.log(Wc))))
+
+
 def cox_partial_loglik(state, beta=None):
     """Log partial likelihood at ``beta`` (defaults to the state's)."""
     s = state
     matmul(s.Xbeta, s.X, beta if beta is not None else s.beta)
     _risk_weights(s)
-    return float(np.sum(s.delta * (s.Xbeta - np.log(s.W[s.cuts]))))
+    return _cox_loglik(s, s.W[s.cuts])
 
 
 def pi_delta(out, w, W, delta, lo, hi, comm, cuts=None):
@@ -423,7 +420,8 @@ def pi_delta(out, w, W, delta, lo, hi, comm, cuts=None):
 
     Each rank accumulates over its owned index range [lo, hi) of the risk
     sums, then the partial results are allreduce-summed; the m x m matrix is
-    never materialized.  ``cuts`` extends risk sets over tied blocks.
+    never materialized.  ``cuts`` extends risk sets over tied blocks.  The
+    reference for :func:`cox_fit`, which forms P delta without communication.
     """
     m = len(delta)
     out[...] = 0
@@ -445,24 +443,22 @@ def cox_fit(state, iters, monitor=None, trace_every=1):
     Each iteration records the penalized objective at the current iterate
     (so the first trace entry belongs to the initial coefficients), checks
     the optional convergence monitor, then takes one soft-thresholded step.
+    Every rank forms ``pd[i] = w[i] * sum_{j >= starts[i]} delta[j] / W[cuts[j]]``
+    from its replicated copies (bitwise equal to :func:`pi_delta` at p = 1).
     """
     s = state
-    m = len(s.y)
-    comm = s.X.comm
-    part = partition_of(m, comm.size)
-    lo, hi = part.lo(comm.rank), part.hi(comm.rank)
     sigma, lam = s.sigma, s.lam
     for it in range(iters):
         matmul(s.Xbeta, s.X, s.beta)
         _risk_weights(s)
+        Wc = s.W[s.cuts]
         if trace_every and it % trace_every == 0:
-            loglik = float(np.sum(s.delta * (s.Xbeta - np.log(s.W[s.cuts]))))
-            penalty = lam * reduce_all(s.beta, transform=np.abs)
-            obj = -loglik + penalty
+            obj = -_cox_loglik(s, Wc) + lam * reduce_all(s.beta, transform=np.abs)
             s.trace.append(obj)
             if monitor is not None and converged(monitor, obj):
                 break
-        pi_delta(s.pd, s.w, s.W, s.delta, lo, hi, comm, cuts=s.cuts)
+        suffix = np.cumsum((s.delta / Wc)[::-1])[::-1]
+        np.multiply(suffix[s.starts], s.w, out=s.pd)
         dmpd = s.delta - s.pd
         matmul(s.grad, transpose(s.X), dmpd)
         map_broadcast(s.beta, lambda b, g: soft_threshold(b + sigma * g, lam),

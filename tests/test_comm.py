@@ -1,12 +1,19 @@
 """Collective communication contract tests, run on both backends."""
 
+import socket
+import struct
+
 import numpy as np
 import pytest
 
 from blockstat.comm import (
+    _HEADER_FMT,
     CollectiveContractError,
+    CommError,
     CommInitError,
     ReduceOp,
+    _SocketCommunicator,
+    _send_frame,
     init,
     run_inproc,
 )
@@ -241,3 +248,25 @@ def test_repeated_runs_deterministic(world_runner):
     for got, want in zip(one, two):
         for x, y in zip(got, want):
             np.testing.assert_array_equal(x, y)
+
+
+def _allreduce_frame(op=2, dtype=1, ncounts=0, payload=np.zeros(2).tobytes()):
+    """A leaf's frame for a 2-value float64 SUM allreduce, with fields overridable."""
+    return struct.pack(_HEADER_FMT, op, 1, dtype, 0, -1, -1, 2, ncounts) + payload
+
+
+@pytest.mark.parametrize("frame", [
+    _allreduce_frame(op=9),                   # unknown collective code
+    _allreduce_frame(dtype=7),                # unknown dtype code
+    _allreduce_frame(ncounts=1000),           # counts run past the frame
+    _allreduce_frame(payload=b"\0" * 11),     # not a whole number of float64s
+    b"\x02\x01",                              # shorter than a header
+], ids=["op", "dtype", "counts", "ragged", "short"])
+def test_hub_rejects_malformed_frame(frame):
+    hub_end, leaf_end = socket.socketpair()
+    with hub_end, leaf_end:
+        hub_end.settimeout(10.0)
+        hub = _SocketCommunicator(0, 2, peers=[None, hub_end])
+        _send_frame(leaf_end, frame)
+        with pytest.raises(CommError, match="malformed frame from rank 1"):
+            hub.allreduce(np.zeros(2))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from blockstat.comm import run_inproc
-from blockstat.distarray import distribute, empty, gather_full, zeros
+from blockstat.distarray import distribute, empty, gather_full, partition_of, zeros
 from blockstat.distlinalg import dot, pairwise_euclidean
 from blockstat.solvers import (
     ConvergenceMonitor,
@@ -24,7 +24,7 @@ from blockstat.solvers import (
     pi_delta,
     soft_threshold,
 )
-from conftest import rng
+from conftest import rng, run_socket
 
 
 def _dist(comm, data):
@@ -137,6 +137,18 @@ def test_nmf_rejects_negative_data():
 
     with pytest.raises(ValueError):
         run_inproc(2, fn)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_nmf_init_rejects_one_negative_entry(p):
+    data = np.ones((3, 5))
+    data[2, 4] = -1e-3  # last column: owned by the last rank at p = 2
+
+    def fn(comm):
+        nmf_init(_dist(comm, data), 2, seed=1)
+
+    with pytest.raises(ValueError, match="nonnegative"):
+        run_inproc(p, fn)
 
 
 def _nmf_trace(comm, algorithm, seed, iters, rank):
@@ -575,6 +587,49 @@ def test_cox_rank_count_independent_traces():
         got_trace, got_beta = run_inproc(p, fn)[0]
         np.testing.assert_allclose(got_trace, ref_trace, rtol=1e-10)
         np.testing.assert_allclose(got_beta, ref_beta, rtol=1e-10)
+
+
+@pytest.mark.parametrize("ties", ["none", "breslow"])
+@pytest.mark.parametrize("p", [1, 2, 4])
+def test_cox_fit_pd_matches_pi_delta(p, ties):
+    gen = rng(80)
+    x_d, y_d, delta_d = _make_survival(gen, 11, 3)
+    if ties == "breslow":
+        y_d = np.repeat(y_d[::2], 2)[:11]  # still nonincreasing, tied in pairs
+    beta_d = gen.standard_normal(3) * 0.4
+
+    def fn(comm):
+        state = cox_init(_dist(comm, x_d), y_d, delta_d, lam=0.0, sigma=0.01, ties=ties)
+        state.beta.local[...] = _dist(comm, beta_d).local
+        cox_fit(state, 1, trace_every=0)
+        part = partition_of(len(y_d), comm.size)
+        ref = np.empty(len(y_d))
+        pi_delta(ref, state.w, state.W, state.delta, part.lo(comm.rank),
+                 part.hi(comm.rank), comm, cuts=state.cuts)
+        return state.pd.copy(), ref
+
+    for pd, ref in run_inproc(p, fn):
+        if p == 1:
+            np.testing.assert_array_equal(pd, ref)
+        else:
+            np.testing.assert_allclose(pd, ref, rtol=1e-12, atol=0)
+
+
+def test_cox_traces_identical_across_backends():
+    gen = rng(81)
+    x_d, y_d, delta_d = _make_survival(gen, 13, 5, np.array([0.6, 0.0, -0.4, 0.0, 0.2]))
+
+    def fn(comm):
+        state = cox_init(_dist(comm, x_d), y_d, delta_d, lam=1e-2)
+        cox_fit(state, 30)
+        return np.asarray(state.trace), gather_full(state.beta)
+
+    inproc = run_inproc(2, fn)
+    sock = run_socket(2, fn)
+    for (trace_i, beta_i), (trace_s, beta_s) in zip(inproc, sock):
+        assert len(trace_i) == 30
+        np.testing.assert_array_equal(trace_s, trace_i)
+        np.testing.assert_array_equal(beta_s, beta_i)
 
 
 def test_cox_monitor_stops_early():
