@@ -108,6 +108,12 @@ def _check_agree(headers, field, what):
             )
 
 
+def _header(op, dtype=-1, root=-1, send_len=-1, recv_len=-1, counts=None, redop=-1):
+    """A collective's header; -1 and None mark fields the op does not use."""
+    return {"op": op, "dtype": dtype, "root": root, "send_len": send_len,
+            "recv_len": recv_len, "counts": counts, "redop": redop}
+
+
 def _validate_headers(headers):
     """Cross-rank contract checks shared by both backends."""
     _check_agree(headers, "op", "collective operation")
@@ -198,18 +204,15 @@ class Communicator:
         if not 0 <= root < self.size:
             raise ValueError(f"root {root} out of range for size {self.size}")
         flat = _flat(buf)
-        header = {"op": "broadcast", "dtype": _DTYPE_CODES[flat.dtype],
-                  "root": root, "send_len": -1, "recv_len": flat.size, "counts": None,
-                  "redop": -1}
+        header = _header("broadcast", _DTYPE_CODES[flat.dtype], root=root, recv_len=flat.size)
         out = self._transact(header, flat if self.rank == root else None)
         _writeback(buf, out)
 
     def allreduce(self, buf, op=ReduceOp.SUM):
         """Elementwise fold of all ranks' ``buf``, in place, ascending rank order."""
         flat = _flat(buf)
-        header = {"op": "allreduce", "dtype": _DTYPE_CODES[flat.dtype],
-                  "root": -1, "send_len": -1, "recv_len": flat.size, "counts": None,
-                  "redop": _REDOP_CODES[op.value]}
+        header = _header("allreduce", _DTYPE_CODES[flat.dtype], recv_len=flat.size,
+                         redop=_REDOP_CODES[op.value])
         out = self._transact(header, flat)
         _writeback(buf, out)
 
@@ -220,9 +223,8 @@ class Communicator:
             raise ValueError(f"counts has {len(counts)} entries for {self.size} ranks")
         sflat = _flat(send)
         rflat = _flat(recv)
-        header = {"op": "allgatherv", "dtype": _DTYPE_CODES[sflat.dtype],
-                  "root": -1, "send_len": sflat.size, "recv_len": rflat.size,
-                  "counts": counts, "redop": -1}
+        header = _header("allgatherv", _DTYPE_CODES[sflat.dtype], send_len=sflat.size,
+                         recv_len=rflat.size, counts=counts)
         out = self._transact(header, sflat)
         _writeback(recv, out)
 
@@ -237,17 +239,14 @@ class Communicator:
             send_len = sflat.size
         else:
             sflat, send_len = None, -1
-        header = {"op": "scatterv", "dtype": _DTYPE_CODES[rflat.dtype],
-                  "root": root, "send_len": send_len, "recv_len": rflat.size,
-                  "counts": counts, "redop": -1}
+        header = _header("scatterv", _DTYPE_CODES[rflat.dtype], root=root, send_len=send_len,
+                         recv_len=rflat.size, counts=counts)
         out = self._transact(header, sflat)
         _writeback(recv, out)
 
     def barrier(self):
         """Block until every rank has entered."""
-        header = {"op": "barrier", "dtype": -1, "root": -1, "send_len": -1,
-                  "recv_len": -1, "counts": None, "redop": -1}
-        self._transact(header, None)
+        self._transact(_header("barrier"), None)
 
     # -- backend hooks ------------------------------------------------------
 
@@ -381,8 +380,8 @@ def _unpack_header(body):
     base = struct.calcsize(_HEADER_FMT)
     op, seq, dtype, redop, root, send_len, recv_len, ncounts = struct.unpack_from(_HEADER_FMT, body)
     counts = struct.unpack_from(f"<{ncounts}Q", body, base) if ncounts else None
-    header = {"op": _OP_NAMES[op], "seq": seq, "dtype": dtype, "redop": redop,
-              "root": root, "send_len": send_len, "recv_len": recv_len, "counts": counts}
+    header = _header(_OP_NAMES[op], dtype, root, send_len, recv_len, counts, redop)
+    header["seq"] = seq
     return header, body[base + 8 * ncounts:]
 
 

@@ -359,20 +359,14 @@ def reduce_dims(a, axis):
         raise ValueError("reduce_dims expects a 2-D array")
     if axis == 0 or axis == (0,):
         out = DistArray(a.comm, (1, a.shape[1]), a.dtype)
-        np.sum(a.local, axis=0, keepdims=True, out=out.local)
-        return out
-    if axis == 1 or axis == (1,):
-        out = np.zeros((a.shape[0], 1), dtype=a.dtype)
-        if a.local.size:
-            np.sum(a.local, axis=1, keepdims=True, out=out)
-        a.comm.allreduce(out, ReduceOp.SUM)
-        return out
-    if axis == (0, 1):
-        total = reduce_all(a, ReduceOp.SUM)
+    elif axis == 1 or axis == (1,):
+        out = np.empty((a.shape[0], 1), dtype=a.dtype)
+    elif axis == (0, 1):
         out = DistArray(a.comm, (1, 1), a.dtype)
-        out.local[...] = total
-        return out
-    raise ValueError(f"invalid axis {axis!r}")
+    else:
+        raise ValueError(f"invalid axis {axis!r}")
+    reduce_into(out, a)
+    return out
 
 
 def reduce_into(dest, a):
@@ -386,7 +380,7 @@ def reduce_into(dest, a):
         raise ValueError("reduce_into expects a 2-D source")
     m, n = a.shape
     if isinstance(dest, DistArray):
-        if dest.shape == (1, n) and n > 1:
+        if dest.shape == (1, n):
             np.sum(a.local, axis=0, keepdims=True, out=dest.local)
             return
         if dest.shape == (1, 1):
@@ -394,7 +388,7 @@ def reduce_into(dest, a):
             return
         raise DistributionError(f"dest shape {dest.shape} is not a collapse of {a.shape}")
     dest = np.asarray(dest)
-    if dest.shape == (m, 1) and m > 1:
+    if dest.shape == (m, 1):
         if a.local.size:
             np.sum(a.local, axis=1, keepdims=True, out=dest)
         else:

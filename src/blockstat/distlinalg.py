@@ -10,37 +10,13 @@ Matrix operands come in five kinds:
 * ``rvec``  - replicated dense numpy vector
 
 :func:`matmul` implements the seventeen admissible ``C = A @ B`` layout
-combinations (scenarios ``a`` through ``q`` below), selected statically
-from the kinds of ``C``, ``A`` and ``B``.  Where several output layouts
-are possible for the same inputs, the caller's choice of ``C`` picks the
-scenario.  Scenarios that need a replicated staging buffer accept an
-optional preallocated ``tmp`` of the fixed shape listed; supplying it
-never changes any output value.
-
-====  =====  =====  =====  ============
-row   A      B      C      tmp shape
-====  =====  =====  =====  ============
-a     dist   dist   dist   (p, q)
-b     dist   tdist  dist   (p, r)
-c     dist   tdist  tdist  (r, p)
-d     dist   tdist  repl   --
-e     dist   repl   repl   --
-f     tdist  dist   dist   (q, p)
-g     tdist  dist   tdist  (q, r)
-h     tdist  tdist  tdist  (r, q)
-i     tdist  repl   tdist  --
-j     repl   dist   dist   --
-k     repl   tdist  repl   --
-l     dist   dvec   dvec   (p,)
-m     dist   dvec   rvec   --
-n     dist   rvec   rvec   --
-o     tdist  dvec   dvec   (q,)
-p     tdist  rvec   dvec   --
-q     tdist  rvec   rvec   --
-====  =====  =====  =====  ============
-
-for ``A`` of global shape (p, q) and ``B`` of shape (q, r) (a length-q
-vector in rows l-q).
+combinations, scenarios ``a`` through ``q`` of the table ``_ROWS`` below,
+selected statically from the kinds of ``C``, ``A`` and ``B``.  Where several
+output layouts are possible for the same inputs, the caller's choice of
+``C`` picks the scenario.  Every row runs one of four communication
+patterns, named in the table's last column.  Rows that replicate an operand
+accept an optional preallocated staging buffer ``tmp`` of the shape
+:func:`tmp_shape` gives; supplying it never changes any output value.
 """
 
 from __future__ import annotations
@@ -48,28 +24,38 @@ from __future__ import annotations
 import numpy as np
 
 from .comm import ReduceOp
-from .distarray import DistArray, TransposedView
+from .distarray import DistArray, TransposedView, gather_full
 
-SCENARIOS = {
-    "a": ("dist", "dist", "dist"),
-    "b": ("dist", "tdist", "dist"),
-    "c": ("dist", "tdist", "tdist"),
-    "d": ("dist", "tdist", "repl"),
-    "e": ("dist", "repl", "repl"),
-    "f": ("tdist", "dist", "dist"),
-    "g": ("tdist", "dist", "tdist"),
-    "h": ("tdist", "tdist", "tdist"),
-    "i": ("tdist", "repl", "tdist"),
-    "j": ("repl", "dist", "dist"),
-    "k": ("repl", "tdist", "repl"),
-    "l": ("dist", "dvec", "dvec"),
-    "m": ("dist", "dvec", "rvec"),
-    "n": ("dist", "rvec", "rvec"),
-    "o": ("tdist", "dvec", "dvec"),
-    "p": ("tdist", "rvec", "dvec"),
-    "q": ("tdist", "rvec", "rvec"),
+# row: (A, B, C, how C is formed).  A is (p, q) and B is (q, r), or a
+# length-q vector in rows l-q.  ``how`` is one of
+#   local     - each rank multiplies its own blocks; no communication
+#   reduce    - partial products over the split inner dimension, then an
+#               allreduce (into C, or into ``tmp`` when C is distributed)
+#   gather A, gather B - replicate that operand into ``tmp``, then a local
+#               product
+#   allgather - local product, then an allgather of C's blocks
+_ROWS = {
+    "a": ("dist", "dist", "dist", "gather A"),
+    "b": ("dist", "tdist", "dist", "reduce"),
+    "c": ("dist", "tdist", "tdist", "reduce"),
+    "d": ("dist", "tdist", "repl", "reduce"),
+    "e": ("dist", "repl", "repl", "reduce"),
+    "f": ("tdist", "dist", "dist", "gather A"),
+    "g": ("tdist", "dist", "tdist", "gather B"),
+    "h": ("tdist", "tdist", "tdist", "gather B"),
+    "i": ("tdist", "repl", "tdist", "local"),
+    "j": ("repl", "dist", "dist", "local"),
+    "k": ("repl", "tdist", "repl", "reduce"),
+    "l": ("dist", "dvec", "dvec", "reduce"),
+    "m": ("dist", "dvec", "rvec", "reduce"),
+    "n": ("dist", "rvec", "rvec", "reduce"),
+    "o": ("tdist", "dvec", "dvec", "gather B"),
+    "p": ("tdist", "rvec", "dvec", "local"),
+    "q": ("tdist", "rvec", "rvec", "allgather"),
 }
+SCENARIOS = {row: spec[:3] for row, spec in _ROWS.items()}
 _DISPATCH = {kinds: row for row, kinds in SCENARIOS.items()}
+_DISTRIBUTED = ("dist", "tdist", "dvec")
 
 
 class ScenarioError(TypeError):
@@ -147,32 +133,48 @@ def _vec_like(x, kind):
     return kind in ("dvec", "rvec") or (kind == "tdist" and x.parent.shape[0] == 1)
 
 
-def _as_dvec_local(x):
-    """Local block of a distributed vector (1-D DistArray or 1 x n transpose)."""
-    if isinstance(x, DistArray):
+def _owner(x):
+    """The DistArray that stores a distributed operand."""
+    return x.parent if isinstance(x, TransposedView) else x
+
+
+def _block(x, kind):
+    """This rank's block of ``x`` in its global orientation; all of a replicated ``x``."""
+    if kind == "dist":
         return x.local
-    return x.parent.local[0, :]
+    if kind == "tdist":
+        return x.parent.local.T
+    if kind == "dvec":
+        local = _owner(x).local
+        return local[0] if local.ndim == 2 else local
+    return np.asarray(x)
 
 
-def _dvec_partition(x):
-    return x.partition if isinstance(x, DistArray) else x.parent.partition
+def _gather_into(x, kind, tmp):
+    """Gather distributed ``x`` into ``tmp`` (its stored shape); return it in global orientation."""
+    tmp[...] = gather_full(_owner(x)).reshape(tmp.shape)
+    return tmp.T if kind == "tdist" else tmp
 
 
-def _gather_into(dist, tmp):
-    """Gather a column-split matrix into the replicated buffer ``tmp``."""
-    rows = dist.shape[0]
-    counts = [rows * w for w in dist.partition.counts()]
-    flat = np.empty(dist.shape[0] * dist.shape[1], dtype=dist.dtype)
-    dist.comm.allgatherv(np.ravel(dist.local, order="F"), flat, counts)
-    tmp[...] = flat.reshape(dist.shape, order="F")
-    return tmp
+def tmp_shape(row, p, q, r):
+    """Shape of scenario ``row``'s staging buffer for A (p, q) and B (q, r), or None.
 
-
-def _gather_vec_into(vec, tmp):
-    local = _as_dvec_local(vec)
-    part = _dvec_partition(vec)
-    vec.comm.allgatherv(np.ascontiguousarray(local), tmp, part.counts())
-    return tmp
+    It is the stored shape of the operand the row replicates: A or B for
+    ``gather A``/``gather B``, and C for a ``reduce`` into a distributed C.
+    Vector rows take r = 1.
+    """
+    a, b, c, how = _ROWS[row]
+    if how == "gather A":
+        kind, shape = a, (p, q)
+    elif how == "gather B":
+        kind, shape = b, (q, r)
+    elif how == "reduce" and c in _DISTRIBUTED:
+        kind, shape = c, (p, r)
+    else:
+        return None
+    if kind == "dvec":
+        return shape[:1]
+    return shape[::-1] if kind == "tdist" else shape
 
 
 def _tmp_buffer(tmp, shape, dtype, what):
@@ -186,18 +188,22 @@ def _tmp_buffer(tmp, shape, dtype, what):
 
 
 def _global_shape(x, kind):
-    if kind in ("dist", "tdist", "repl"):
-        return tuple(np.asarray(x).shape) if kind == "repl" else x.shape
     if kind == "dvec" and isinstance(x, TransposedView):
         return (x.parent.shape[1],)
-    return np.asarray(x).shape if kind == "rvec" else x.shape
+    return np.shape(x) if kind in ("repl", "rvec") else x.shape
 
 
 def matmul(c, a, b, tmp=None):
-    """Distributed ``C = A @ B`` following the scenario table above.
+    """Distributed ``C = A @ B`` following the scenario table ``_ROWS``.
+
+    An operand that is the transpose of a ``1 x n`` distributed row is
+    first read as ``tdist``; only when that kind triple matches no row is
+    it read as ``dvec``.  So rows l and o with such a B and C resolve to
+    rows c and h, and take their ``tmp`` of shape ``(1, p)`` and ``(1, q)``.
 
     Raises :class:`ScenarioError` for inadmissible kind triples and
-    :class:`ShapeError` when extents disagree.
+    :class:`ShapeError` when extents disagree or distributed operands come
+    from worlds of different sizes.
     """
     ak, bk, ck = _kind(a), _kind(b), _kind(c)
     row = _DISPATCH.get((ak, bk, ck))
@@ -220,152 +226,44 @@ def matmul(c, a, b, tmp=None):
     want_c = (p, r) if len(csh) == 2 else (p,)
     if csh != want_c:
         raise ShapeError(f"C has shape {csh}, expected {want_c}")
-    _SCENARIO_IMPL[row](c, a, b, tmp, (p, q, r))
+    # Partitions depend only on the extent and the rank count, so operands
+    # of agreeing extents are split alike unless their worlds differ in size.
+    sizes = {x.comm.size for x, k in ((a, ak), (b, bk), (c, ck)) if k in _DISTRIBUTED}
+    if len(sizes) > 1:
+        raise ShapeError(f"distributed operands come from worlds of sizes {sorted(sizes)}")
+
+    how = _ROWS[row][3]
+    shape = tmp_shape(row, p, q, r)
+    buf = None if shape is None else _tmp_buffer(tmp, shape, a.dtype, row)
+    x, y = _block(a, ak), _block(b, bk)
+    if how == "gather A":
+        x = _gather_into(a, ak, buf)
+    elif how == "gather B":
+        y = _gather_into(b, bk, buf)
+    elif how == "allgather":
+        a.comm.allgatherv(np.ascontiguousarray(x @ y), c, a.partition.counts())
+        return c
+    elif how == "reduce":
+        if ak == "repl":
+            x = x[:, b.parent.lo:b.parent.hi]
+        elif bk in ("repl", "rvec"):
+            y = y[a.lo:a.hi]
+        comm = b.comm if ak == "repl" else a.comm
+        if ck in ("repl", "rvec"):
+            c[...] = x @ y
+            comm.allreduce(c, ReduceOp.SUM)
+            return c
+        # (x @ y).T, not y.T @ x.T: the two BLAS calls can round differently.
+        buf[...] = (x @ y).T if ck == "tdist" else x @ y
+        comm.allreduce(buf, ReduceOp.SUM)
+        dest = _owner(c)
+        dest.local[...] = buf[..., dest.lo:dest.hi]
+        return c
+    out = _block(c, ck)
+    if ck == "tdist":  # form the product in C's stored orientation
+        x, y, out = y.T, x.T, out.T
+    out[...] = x @ y
     return c
-
-
-# -- matrix-matrix scenarios ------------------------------------------------
-
-
-def _require_same_split(x, y, what):
-    if x != y:
-        raise ShapeError(f"{what} must share one partition, got {x} vs {y}")
-
-
-def _scn_a(c, a, b, tmp, pqr):
-    p, q, r = pqr
-    tmp = _tmp_buffer(tmp, (p, q), a.dtype, "a")
-    _gather_into(a, tmp)
-    c.local[...] = tmp @ b.local
-
-
-def _scn_b(c, a, b, tmp, pqr):
-    p, q, r = pqr
-    _require_same_split(a.partition, b.parent.partition, "A's columns and B's rows")
-    tmp = _tmp_buffer(tmp, (p, r), a.dtype, "b")
-    tmp[...] = a.local @ b.parent.local.T
-    a.comm.allreduce(tmp, ReduceOp.SUM)
-    c.local[...] = tmp[:, c.lo:c.hi]
-
-
-def _scn_c(c, a, b, tmp, pqr):
-    p, q, r = pqr
-    _require_same_split(a.partition, b.parent.partition, "A's columns and B's rows")
-    ct = c.parent
-    tmp = _tmp_buffer(tmp, (r, p), a.dtype, "c")
-    tmp[...] = (a.local @ b.parent.local.T).T
-    a.comm.allreduce(tmp, ReduceOp.SUM)
-    ct.local[...] = tmp[:, ct.lo:ct.hi]
-
-
-def _scn_d(c, a, b, tmp, pqr):
-    _require_same_split(a.partition, b.parent.partition, "A's columns and B's rows")
-    c[...] = a.local @ b.parent.local.T
-    a.comm.allreduce(c, ReduceOp.SUM)
-
-
-def _scn_e(c, a, b, tmp, pqr):
-    b = np.asarray(b)
-    c[...] = a.local @ b[a.lo:a.hi, :]
-    a.comm.allreduce(c, ReduceOp.SUM)
-
-
-def _scn_f(c, a, b, tmp, pqr):
-    p, q, r = pqr
-    at = a.parent
-    tmp = _tmp_buffer(tmp, (q, p), at.dtype, "f")
-    _gather_into(at, tmp)
-    c.local[...] = tmp.T @ b.local
-
-
-def _scn_g(c, a, b, tmp, pqr):
-    p, q, r = pqr
-    at, ct = a.parent, c.parent
-    _require_same_split(at.partition, ct.partition, "A's rows and C's rows")
-    tmp = _tmp_buffer(tmp, (q, r), at.dtype, "g")
-    _gather_into(b, tmp)
-    ct.local[...] = tmp.T @ at.local
-
-
-def _scn_h(c, a, b, tmp, pqr):
-    p, q, r = pqr
-    at, bt, ct = a.parent, b.parent, c.parent
-    _require_same_split(at.partition, ct.partition, "A's rows and C's rows")
-    tmp = _tmp_buffer(tmp, (r, q), at.dtype, "h")
-    _gather_into(bt, tmp)
-    ct.local[...] = tmp @ at.local
-
-
-def _scn_i(c, a, b, tmp, pqr):
-    at, ct = a.parent, c.parent
-    _require_same_split(at.partition, ct.partition, "A's rows and C's rows")
-    ct.local[...] = np.asarray(b).T @ at.local
-
-
-def _scn_j(c, a, b, tmp, pqr):
-    _require_same_split(b.partition, c.partition, "B's columns and C's columns")
-    c.local[...] = np.asarray(a) @ b.local
-
-
-def _scn_k(c, a, b, tmp, pqr):
-    a = np.asarray(a)
-    bt = b.parent
-    c[...] = a[:, bt.lo:bt.hi] @ bt.local.T
-    bt.comm.allreduce(c, ReduceOp.SUM)
-
-
-# -- matrix-vector scenarios ------------------------------------------------
-
-
-def _scn_l(c, a, b, tmp, pqr):
-    p, q, r = pqr
-    _require_same_split(a.partition, _dvec_partition(b), "A's columns and B")
-    tmp = _tmp_buffer(tmp, (p,), a.dtype, "l")
-    tmp[...] = a.local @ _as_dvec_local(b)
-    a.comm.allreduce(tmp, ReduceOp.SUM)
-    cpart = _dvec_partition(c)
-    _as_dvec_local(c)[...] = tmp[cpart.lo(a.comm.rank):cpart.hi(a.comm.rank)]
-
-
-def _scn_m(c, a, b, tmp, pqr):
-    _require_same_split(a.partition, _dvec_partition(b), "A's columns and B")
-    c[...] = a.local @ _as_dvec_local(b)
-    a.comm.allreduce(c, ReduceOp.SUM)
-
-
-def _scn_n(c, a, b, tmp, pqr):
-    b = np.asarray(b)
-    c[...] = a.local @ b[a.lo:a.hi]
-    a.comm.allreduce(c, ReduceOp.SUM)
-
-
-def _scn_o(c, a, b, tmp, pqr):
-    p, q, r = pqr
-    at = a.parent
-    _require_same_split(at.partition, _dvec_partition(c), "A's rows and C")
-    tmp = _tmp_buffer(tmp, (q,), at.dtype, "o")
-    _gather_vec_into(b, tmp)
-    _as_dvec_local(c)[...] = at.local.T @ tmp
-
-
-def _scn_p(c, a, b, tmp, pqr):
-    at = a.parent
-    _require_same_split(at.partition, _dvec_partition(c), "A's rows and C")
-    _as_dvec_local(c)[...] = at.local.T @ np.asarray(b)
-
-
-def _scn_q(c, a, b, tmp, pqr):
-    at = a.parent
-    mine = at.local.T @ np.asarray(b)
-    at.comm.allgatherv(np.ascontiguousarray(mine), c, at.partition.counts())
-
-
-_SCENARIO_IMPL = {
-    "a": _scn_a, "b": _scn_b, "c": _scn_c, "d": _scn_d, "e": _scn_e,
-    "f": _scn_f, "g": _scn_g, "h": _scn_h, "i": _scn_i, "j": _scn_j,
-    "k": _scn_k, "l": _scn_l, "m": _scn_m, "n": _scn_n, "o": _scn_o,
-    "p": _scn_p, "q": _scn_q,
-}
 
 
 def opnorm(a, which="l2_power", tol=1e-6, maxiter=1000, seed=95376):

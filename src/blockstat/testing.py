@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .distarray import DistArray, TransposedView, distribute, empty, gather_full
-from .distlinalg import SCENARIOS
+from .distlinalg import SCENARIOS, tmp_shape  # noqa: F401  (tmp_shape is re-exported)
 
 
 def _dist(dense, comm):
@@ -18,9 +18,7 @@ def _build(kind, dense, comm, dvec_as_view):
         return _dist(dense, comm)
     if kind == "tdist":
         return TransposedView(_dist(dense.T, comm))
-    if kind == "repl":
-        return dense.copy()
-    if kind == "rvec":
+    if kind in ("repl", "rvec"):
         return dense.copy()
     if kind == "dvec":
         if dvec_as_view:
@@ -61,14 +59,6 @@ def scenario_operands(row, a_dense, b_dense, comm, dvec_as_view=False):
     b = _build(b_kind, b_dense, comm, dvec_as_view)
     c = _fresh_output(c_kind, cshape, a_dense.dtype, comm, dvec_as_view)
     return c, a, b
-
-
-def tmp_shape(row, p, q, r):
-    """Required staging-buffer shape for a scenario, or None."""
-    return {
-        "a": (p, q), "b": (p, r), "c": (r, p), "f": (q, p), "g": (q, r),
-        "h": (r, q), "l": (p,), "o": (q,),
-    }.get(row)
 
 
 def materialize(x):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from blockstat.comm import run_inproc
+from blockstat.comm import init, run_inproc
 from blockstat.distarray import distribute, empty, gather_full, zeros
 from blockstat.distlinalg import (
     SCENARIOS,
@@ -195,6 +195,36 @@ def test_matmul_dvec_as_transposed_row(row):
 
     for full in run_inproc(3, fn):
         np.testing.assert_allclose(full, a_dense @ b_dense, rtol=1e-12)
+
+
+@pytest.mark.parametrize("row, resolved", [("l", "c"), ("o", "h")])
+def test_matmul_transposed_row_takes_resolved_rows_tmp(row, resolved):
+    # A transposed 1 x n row is read as tdist before it is read as dvec, so
+    # rows l and o with such B and C run as rows c and h with r = 1.
+    gen = rng(58)
+    a_dense = gen.random((4, 6))
+    b_dense = gen.random(6)
+
+    def fn(comm):
+        c, a, b = scenario_operands(row, a_dense, b_dense, comm, dvec_as_view=True)
+        matmul(c, a, b, tmp=np.zeros(tmp_shape(resolved, 4, 6, 1)))
+        return materialize(c)
+
+    for full in run_inproc(3, fn):
+        np.testing.assert_allclose(full, a_dense @ b_dense, rtol=1e-12)
+
+
+@pytest.mark.parametrize("row", ["a", "b"])
+def test_matmul_rejects_operands_from_worlds_of_different_sizes(row):
+    a_dense, b_dense = np.ones((2, 3)), np.ones((3, 2))
+
+    def fn(comm):
+        c, _, b = scenario_operands(row, a_dense, b_dense, comm)
+        a = _dist(init("inproc:1")[0], a_dense)  # A from a one-rank world
+        matmul(c, a, b)
+
+    with pytest.raises(ShapeError, match="worlds of sizes"):
+        run_inproc(2, fn)
 
 
 def test_matmul_tmp_neutrality_bitwise():
