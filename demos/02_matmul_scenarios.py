@@ -33,8 +33,8 @@ def tour(comm):
 
 
 def dedicated_example(comm):
-    # X (m, n) column-split; the Gram matrix X^T X lands replicated on
-    # every rank without ever gathering X itself (scenario d).
+    # X (m, n) column-split; the m x m Gram matrix X X^T lands replicated
+    # on every rank without ever gathering X itself (scenario d).
     x = empty((6, 4), comm)
     from blockstat import rand_fill
 

@@ -31,10 +31,9 @@ import time
 import numpy as np
 
 from . import comm as _comm
-from .comm import CollectiveContractError, CommError, CommInitError
-from .distarray import DistArray, empty, gather_full, rand_fill
+from .comm import _CODE_DTYPES, _DTYPE_CODES, CollectiveContractError, CommError, CommInitError
+from .distarray import DistArray, distribute, empty, gather_full, rand_fill, scan as _scan
 from .distlinalg import SCENARIOS, matmul, pairwise_euclidean
-from .distarray import distribute, scan as _scan
 from .solvers import (
     ConvergenceMonitor,
     cox_fit,
@@ -48,8 +47,7 @@ from .solvers import (
 from .testing import materialize, scenario_operands
 
 _MAGIC = b"DSTA"
-_DTYPE_BY_CODE = {0: np.dtype(np.float32), 1: np.dtype(np.float64), 2: np.dtype(np.int64)}
-_CODE_BY_DTYPE = {v: k for k, v in _DTYPE_BY_CODE.items()}
+_MAX_NDIM = 64  # numpy's limit on the number of dimensions
 _PRECISION = {"f32": np.dtype(np.float32), "f64": np.dtype(np.float64)}
 
 
@@ -66,26 +64,32 @@ def write_matrix(path, array):
         data = np.asarray(array)
         comm = None
     if comm is None or comm.rank == 0:
-        if data.dtype not in _CODE_BY_DTYPE:
+        if data.dtype not in _DTYPE_CODES:
             raise FormatError(f"unsupported dtype {data.dtype}")
         with open(path, "wb") as fh:
             fh.write(_MAGIC)
-            fh.write(struct.pack("<B", _CODE_BY_DTYPE[data.dtype]))
+            fh.write(struct.pack("<B", _DTYPE_CODES[data.dtype]))
             fh.write(struct.pack("<Q", data.ndim))
             fh.write(struct.pack(f"<{data.ndim}Q", *data.shape))
             fh.write(np.ravel(data, order="F").astype(data.dtype).tobytes())
 
 
 def _read_header(fh):
+    """Stored dtype and shape; a defective or short header raises FormatError."""
     magic = fh.read(4)
     if magic != _MAGIC:
         raise FormatError(f"bad magic {magic!r}")
-    (code,) = struct.unpack("<B", fh.read(1))
-    if code not in _DTYPE_BY_CODE:
-        raise FormatError(f"unknown dtype code {code}")
-    (ndim,) = struct.unpack("<Q", fh.read(8))
-    shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
-    return code, shape
+    try:
+        (code,) = struct.unpack("<B", fh.read(1))
+        if code not in _CODE_DTYPES:
+            raise FormatError(f"unknown dtype code {code}")
+        (ndim,) = struct.unpack("<Q", fh.read(8))
+        if ndim > _MAX_NDIM:  # checked before the extents are read
+            raise FormatError(f"header claims {ndim} dimensions, numpy allows {_MAX_NDIM}")
+        shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
+    except struct.error as exc:
+        raise FormatError(f"truncated header: {exc}") from None
+    return _CODE_DTYPES[code], shape
 
 
 def read_matrix(path, comm, dtype=None):
@@ -96,24 +100,21 @@ def read_matrix(path, comm, dtype=None):
     if comm.rank == 0:
         try:
             with open(path, "rb") as fh:
-                code, shape = _read_header(fh)
-                if dtype is not None and _DTYPE_BY_CODE[code] != np.dtype(dtype):
-                    raise FormatError(
-                        f"file holds {_DTYPE_BY_CODE[code]}, run expects {np.dtype(dtype)}"
-                    )
-                want = int(np.prod(shape)) * _DTYPE_BY_CODE[code].itemsize
+                stored, shape = _read_header(fh)
+                if dtype is not None and stored != np.dtype(dtype):
+                    raise FormatError(f"file holds {stored}, run expects {np.dtype(dtype)}")
+                want = int(np.prod(shape)) * stored.itemsize
                 payload = fh.read()
                 if len(payload) != want:
                     raise FormatError(f"payload is {len(payload)} bytes, expected {want}")
-                data = np.frombuffer(payload, dtype=_DTYPE_BY_CODE[code]).reshape(
-                    shape, order="F")
+                data = np.frombuffer(payload, dtype=stored).reshape(shape, order="F")
         except (OSError, FormatError) as exc:
             status[0] = 1
             message = str(exc)
-    comm.broadcast(status, root=0)
+    comm.broadcast(status)
     if status[0]:
         raise FormatError(message or "rank 0 failed to read the matrix file")
-    return distribute(data, comm, root=0)
+    return distribute(data, comm)
 
 
 def _write_trace(path, rows):
@@ -164,7 +165,7 @@ def _cmd_nmf(comm, args):
         write_matrix(args.out_vt, state.Vt)
     if args.out_w:
         write_matrix(args.out_w, state.W)
-    if comm.rank == 0:
+    if comm.rank == 0 and rows:
         print(f"nmf({args.algorithm}) rank={args.rank} iters={len(rows)} "
               f"objective={rows[-1][1]:.6g}")
     return 0
@@ -184,7 +185,7 @@ def _cmd_mds(comm, args):
     rows = _trace_loop(step, args.iters, args.trace if comm.rank == 0 else None)
     if args.out:
         write_matrix(args.out, state.theta)
-    if comm.rank == 0:
+    if comm.rank == 0 and rows:
         print(f"mds q={args.embed_dim} iters={len(rows)} stress={rows[-1][1]:.6g}")
     return 0
 

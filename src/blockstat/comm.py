@@ -72,6 +72,8 @@ _DTYPE_CODES = {
 }
 _CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
 
+_WAIT_S = 180.0  # longest wait for a peer inside a collective, in seconds
+
 _OP_CODES = {"barrier": 0, "broadcast": 1, "allreduce": 2, "allgatherv": 3, "scatterv": 4}
 _OP_NAMES = {v: k for k, v in _OP_CODES.items()}
 _REDOP_CODES = {op.value: i for i, op in enumerate(ReduceOp)}
@@ -314,10 +316,10 @@ class _InProcWorld:
     the k-parity snapshot.
     """
 
-    def __init__(self, size, timeout=180.0):
+    def __init__(self, size):
         self.size = size
         self.slots = [[None] * size, [None] * size]
-        self._barrier = _EventBarrier(size, timeout)
+        self._barrier = _EventBarrier(size, _WAIT_S)
 
     def exchange(self, rank, seq, entry):
         buf = self.slots[seq & 1]
@@ -437,10 +439,6 @@ class _SocketCommunicator(Communicator):
     def _transact(self, header, payload):
         self._seq += 1
         header = dict(header, seq=self._seq)
-        if self.size == 1:
-            _validate_headers([header])
-            out = _responses([header], [None if payload is None else np.array(payload)], 1)
-            return out[0]
         if self.rank == 0:
             return self._transact_hub(header, payload)
         return self._transact_leaf(header, payload)
@@ -521,7 +519,7 @@ def _init_socket(hosts, rank, timeout):
     size = len(hosts)
     if size == 1:
         return _SocketCommunicator(0, 1)
-    sock_timeout = max(timeout, 180.0)
+    sock_timeout = max(timeout, _WAIT_S)
     if rank == 0:
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)

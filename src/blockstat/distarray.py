@@ -15,11 +15,10 @@ the deterministic ascending-rank collectives from :mod:`blockstat.comm`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import numbers
 
 import numpy as np
 
-from .comm import ReduceOp
+from .comm import _CODE_DTYPES, _DTYPE_CODES, ReduceOp
 
 
 class DistributionError(ValueError):
@@ -157,7 +156,7 @@ def zeros(shape, comm, dtype=np.float64):
 
 
 def fill(a, value):
-    a.local[...] = value
+    a.fill(value)
 
 
 def _rows(shape):
@@ -182,10 +181,10 @@ def _draw(gen, n, dist, dtype):
     raise ValueError(f"unknown distribution {dist!r}")
 
 
-def rand_fill(a, seed=None, common_init=False, root=0, dist="uniform01"):
+def rand_fill(a, seed=None, common_init=False, dist="uniform01"):
     """Fill with random values.
 
-    With ``common_init=True`` the whole array is generated on ``root``
+    With ``common_init=True`` the whole array is generated on rank 0
     (seeded with ``seed`` when given) and scattered, so the global content
     does not depend on the number of ranks.  Otherwise every rank fills its
     own block from a stream seeded with ``seed + rank`` (or fresh entropy
@@ -194,13 +193,13 @@ def rand_fill(a, seed=None, common_init=False, root=0, dist="uniform01"):
     comm = a.comm
     if common_init:
         rows = _rows(a.shape)
-        if comm.rank == root:
+        if comm.rank == 0:
             vals = _draw(_generator(seed), rows * a.shape[-1], dist, a.dtype)
         else:
             vals = None
         recv = np.empty(a.local.size, dtype=a.dtype)
         counts = [rows * w for w in a.partition.counts()]
-        comm.scatterv(vals, recv, counts, root=root)
+        comm.scatterv(vals, recv, counts)
         a.local[...] = recv.reshape(a.local.shape, order="F")
     else:
         gen = _generator(None if seed is None else seed + comm.rank)
@@ -208,16 +207,14 @@ def rand_fill(a, seed=None, common_init=False, root=0, dist="uniform01"):
         a.local[...] = vals.reshape(a.local.shape, order="F")
 
 
-def distribute(data, comm, root=0):
-    """Distribute a dense array residing on ``root`` over all ranks.
+def distribute(data, comm):
+    """Distribute a dense array residing on rank 0 over all ranks.
 
-    Non-root ranks pass ``None`` or an empty placeholder; the root's shape
-    and dtype are announced, then blocks are scattered in column-major
-    chunks along the last dimension.
+    Other ranks pass ``None`` or an empty placeholder; rank 0's shape and
+    dtype are announced, then blocks are scattered in column-major chunks
+    along the last dimension.
     """
-    from .comm import _DTYPE_CODES  # shared dtype codes
-
-    if comm.rank == root:
+    if comm.rank == 0:
         data = np.asarray(data)
         if data.dtype not in _DTYPE_CODES:
             raise DistributionError(f"cannot distribute dtype {data.dtype}; "
@@ -225,13 +222,13 @@ def distribute(data, comm, root=0):
         head = np.array([data.ndim, _DTYPE_CODES[data.dtype]], dtype=np.int64)
     else:
         head = np.zeros(2, dtype=np.int64)
-    comm.broadcast(head, root=root)
+    comm.broadcast(head)
     ndim, code = int(head[0]), int(head[1])
-    ext = np.array(data.shape, dtype=np.int64) if comm.rank == root else np.zeros(ndim, np.int64)
-    comm.broadcast(ext, root=root)
+    ext = np.array(data.shape, dtype=np.int64) if comm.rank == 0 else np.zeros(ndim, np.int64)
+    comm.broadcast(ext)
     shape = tuple(int(e) for e in ext)
-    dtype = {v: k for k, v in _DTYPE_CODES.items()}[code]
-    if comm.rank != root and data is not None:
+    dtype = _CODE_DTYPES[code]
+    if comm.rank != 0 and data is not None:
         placeholder = np.asarray(data)
         if placeholder.size and placeholder.shape != shape:
             raise DistributionError(
@@ -244,9 +241,9 @@ def distribute(data, comm, root=0):
     out = DistArray(comm, shape, dtype)
     rows = _rows(shape)
     counts = [rows * w for w in out.partition.counts()]
-    send = np.ravel(data, order="F") if comm.rank == root else None
+    send = np.ravel(data, order="F") if comm.rank == 0 else None
     recv = np.empty(out.local.size, dtype=dtype)
-    comm.scatterv(send, recv, counts, root=root)
+    comm.scatterv(send, recv, counts)
     out.local[...] = recv.reshape(out.local.shape, order="F")
     return out
 
@@ -285,13 +282,10 @@ def map_broadcast(dest, fn, *args, allow_full_replicated=False):
                 )
         elif isinstance(arg, TransposedView):
             raise TypeError("transposed views are not elementwise operands; copy them first")
-        elif isinstance(arg, (numbers.Number, np.generic)):
+        elif np.ndim(arg) == 0:
             locals_.append(arg)
         else:
             arr = np.asarray(arg)
-            if arr.ndim == 0:
-                locals_.append(arr)
-                continue
             _check_global_broadcast(dest, arr.shape)
             if arr.shape[-1] == 1:
                 locals_.append(arr)

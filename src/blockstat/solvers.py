@@ -89,12 +89,14 @@ class NmfState:
     VtV: np.ndarray        # r x r replicated
     VtVW: DistArray        # r x n
     tmp: np.ndarray        # r x m replicated matmul staging
-    eps: float
     X_sqnorm: float        # ||X||_F^2, the fixed term of the traced objective
     trace: list = field(default_factory=list)
 
 
-def nmf_init(x, rank, seed=None, eps=1e-10):
+_NMF_EPS = 1e-10  # keeps both update rules' denominators away from zero
+
+
+def nmf_init(x, rank, seed=None):
     """Allocate NMF state with uniform(0, 1) factors generated at rank 0."""
     if x.ndim != 2:
         raise ValueError("NMF expects a 2-D data matrix")
@@ -116,7 +118,6 @@ def nmf_init(x, rank, seed=None, eps=1e-10):
         VtV=np.empty((rank, rank), dtype=dt, order="F"),
         VtVW=empty((rank, n), comm, dt),
         tmp=np.empty((rank, m), dtype=dt, order="F"),
-        eps=eps,
         X_sqnorm=dot(x, x),
     )
 
@@ -146,7 +147,37 @@ def _nmf_gram_objective(s):
     return max(s.X_sqnorm - 2.0 * cross + gram, 0.0)
 
 
-def nmf_multiplicative(state, iters, trace_every=1):
+def _multiplicative_step(factor, data, model, gram):
+    """Lee-Seung step ``factor * data / (model + eps)``."""
+    map_broadcast(factor, lambda f, num, den: f * num / (den + _NMF_EPS),
+                  factor, data, model)
+
+
+def _apg_step(factor, data, model, gram):
+    """Projected gradient step of size ``1 / (2 ||gram||_F^2)``."""
+    step = 1.0 / (2.0 * float(np.sum(gram ** 2)) + _NMF_EPS)
+    map_broadcast(factor, lambda f, mod, dat: np.maximum(0.0, f - step * (mod - dat)),
+                  factor, model, data)
+
+
+def _nmf_run(s, iters, update):
+    """Step Vt, then W, by ``update(factor, data, model, gram)`` and trace each
+    iterate; ``data`` is the product with X, ``model`` with the Gram matrix."""
+    matmul(s.WWt, s.W, transpose(s.W))
+    for _ in range(iters):
+        matmul(s.WXt, s.W, transpose(s.X), tmp=s.tmp)
+        matmul(s.WWtVt, s.WWt, s.Vt)
+        update(s.Vt, s.WXt, s.WWtVt, s.WWt)
+        matmul(s.VtX, s.Vt, s.X, tmp=s.tmp)
+        matmul(s.VtV, s.Vt, transpose(s.Vt))
+        matmul(s.VtVW, s.VtV, s.W)
+        update(s.W, s.VtX, s.VtVW, s.VtV)
+        matmul(s.WWt, s.W, transpose(s.W))
+        s.trace.append(_nmf_gram_objective(s))
+    return s
+
+
+def nmf_multiplicative(state, iters):
     """Multiplicative updates; the objective is nonincreasing.
 
     ``trace`` entry k is the objective at the iterate update k produced,
@@ -154,50 +185,16 @@ def nmf_multiplicative(state, iters, trace_every=1):
     :func:`nmf_objective` is the exact alternative).  ``X`` must not be
     modified after :func:`nmf_init`, which checks it and caches ``||X||^2``.
     """
-    s = state
-    eps = s.eps
-    matmul(s.WWt, s.W, transpose(s.W))
-    for it in range(iters):
-        matmul(s.WXt, s.W, transpose(s.X), tmp=s.tmp)
-        matmul(s.WWtVt, s.WWt, s.Vt)
-        map_broadcast(s.Vt, lambda v, num, den: v * num / (den + eps),
-                      s.Vt, s.WXt, s.WWtVt)
-        matmul(s.VtX, s.Vt, s.X, tmp=s.tmp)
-        matmul(s.VtV, s.Vt, transpose(s.Vt))
-        matmul(s.VtVW, s.VtV, s.W)
-        map_broadcast(s.W, lambda w, num, den: w * num / (den + eps),
-                      s.W, s.VtX, s.VtVW)
-        matmul(s.WWt, s.W, transpose(s.W))
-        if trace_every and it % trace_every == 0:
-            s.trace.append(_nmf_gram_objective(s))
-    return s
+    return _nmf_run(state, iters, _multiplicative_step)
 
 
-def nmf_apg(state, iters, trace_every=1):
+def nmf_apg(state, iters):
     """Alternating projected gradient with Frobenius-norm step sizes.
 
     The trace is recorded as in :func:`nmf_multiplicative`; as there, ``X``
     must not be modified after :func:`nmf_init`.
     """
-    s = state
-    eps = s.eps
-    matmul(s.WWt, s.W, transpose(s.W))
-    for it in range(iters):
-        matmul(s.WXt, s.W, transpose(s.X), tmp=s.tmp)
-        matmul(s.WWtVt, s.WWt, s.Vt)
-        sigma = 1.0 / (2.0 * float(np.sum(s.WWt ** 2)) + eps)
-        map_broadcast(s.Vt, lambda v, vww, xw: np.maximum(0.0, v - sigma * (vww - xw)),
-                      s.Vt, s.WWtVt, s.WXt)
-        matmul(s.VtX, s.Vt, s.X, tmp=s.tmp)
-        matmul(s.VtV, s.Vt, transpose(s.Vt))
-        matmul(s.VtVW, s.VtV, s.W)
-        tau = 1.0 / (2.0 * float(np.sum(s.VtV ** 2)) + eps)
-        map_broadcast(s.W, lambda w, vvw, vx: np.maximum(0.0, w - tau * (vvw - vx)),
-                      s.W, s.VtVW, s.VtX)
-        matmul(s.WWt, s.W, transpose(s.W))
-        if trace_every and it % trace_every == 0:
-            s.trace.append(_nmf_gram_objective(s))
-    return s
+    return _nmf_run(state, iters, _apg_step)
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +212,7 @@ class MdsState:
     theta_WmZ: DistArray       # q x n
     d_dist: DistArray          # 1 x n distributed diagonal / Z sums
     d_local: np.ndarray        # (n, 1) replicated diagonal
-    W_sums: float              # sum of unit weights per point: n - 1
-    tmp: np.ndarray            # q x n replicated matmul staging
+    tmp: np.ndarray           # q x n replicated matmul staging
     perturb: bool = False
     trace: list = field(default_factory=list)
 
@@ -243,7 +239,6 @@ def mds_init(y, ndim, seed=None, perturb=False):
         theta_WmZ=empty((ndim, n), comm, dt),
         d_dist=empty((1, n), comm, dt),
         d_local=d_local,
-        W_sums=float(n - 1),
         tmp=np.empty((ndim, n), dtype=dt, order="F"),
         perturb=perturb,
     )
@@ -262,26 +257,18 @@ def _embedding_distances(dist, theta, d_dist, d_local, tmp):
                   dist, d_dist, d_local)
 
 
-def mds_stress(theta, y, state=None):
+def mds_stress(theta, y):
     """Weighted squared misfit between target and embedding distances."""
-    if state is None:
-        n = y.shape[0]
-        dist = empty((n, n), y.comm, y.dtype)
-        d_dist = empty((1, n), y.comm, y.dtype)
-        d_local = np.empty((n, 1), dtype=y.dtype, order="F")
-        tmp = None
-    else:
-        dist, d_dist, d_local, tmp = (state.theta_distances, state.d_dist,
-                                      state.d_local, state.tmp)
-    _embedding_distances(dist, theta, d_dist, d_local, tmp)
-    d = y.local - dist.local  # zero diagonals on both sides: weights drop out
-    part = float(np.dot(np.ravel(d, order="F"), np.ravel(d, order="F")))
-    buf = np.array([part])
-    y.comm.allreduce(buf, ReduceOp.SUM)
-    return buf[0].item()
+    n = y.shape[0]
+    dist = empty((n, n), y.comm, y.dtype)
+    _embedding_distances(dist, theta, empty((1, n), y.comm, y.dtype),
+                         np.empty((n, 1), dtype=y.dtype, order="F"), None)
+    # zero diagonals on both sides: the unit weights drop out
+    np.subtract(y.local, dist.local, out=dist.local)
+    return dot(dist, dist)
 
 
-def mds_fit(state, iters, trace_every=1):
+def mds_fit(state, iters):
     """Majorization-minimization updates; stress is nonincreasing.
 
     The trace records the stress of the iterate entering each update (the
@@ -290,7 +277,8 @@ def mds_fit(state, iters, trace_every=1):
     """
     s = state
     dist = s.theta_distances
-    for it in range(iters):
+    w_sums = float(s.Y.shape[0] - 1)  # sum of the unit weights per point
+    for _ in range(iters):
         _embedding_distances(dist, s.theta, s.d_dist, s.d_local, s.tmp)
         d = s.Y.local - dist.local
         owned_diag = dist.hi - dist.lo
@@ -300,8 +288,7 @@ def mds_fit(state, iters, trace_every=1):
         ])
         s.Y.comm.allreduce(fused, ReduceOp.SUM)
         stress, zero_pairs = fused
-        if trace_every and it % trace_every == 0:
-            s.trace.append(float(stress))
+        s.trace.append(float(stress))
         diag_fill(dist, np.inf)
         if zero_pairs > 0:
             if not s.perturb:
@@ -314,8 +301,8 @@ def mds_fit(state, iters, trace_every=1):
         map_broadcast(dist, lambda z: 1.0 - z, dist)             # W - Z
         diag_fill(dist, 0.0)
         matmul(s.theta_WmZ, s.theta, dist, tmp=s.tmp)
-        w2 = 2.0 * s.W_sums
-        map_broadcast(s.theta, lambda t, zs, twz: (t * (zs + s.W_sums) + twz) / w2,
+        w2 = 2.0 * w_sums
+        map_broadcast(s.theta, lambda t, zs, twz: (t * (zs + w_sums) + twz) / w2,
                       s.theta, s.d_dist, s.theta_WmZ)
     return s
 
@@ -329,8 +316,7 @@ def mds_fit(state, iters, trace_every=1):
 class CoxState:
     """Covariates, survival outcome and proximal-gradient workspaces."""
 
-    X: DistArray           # m x n covariates, samples ordered by nonincreasing y
-    y: np.ndarray          # (m,) observed times, nonincreasing
+    X: DistArray           # m x n covariates, samples ordered by nonincreasing time
     delta: np.ndarray      # (m,) event indicators in {0, 1}
     beta: DistArray        # length-n distributed coefficients
     lam: float
@@ -372,7 +358,7 @@ def cox_init(x, y, delta, lam, sigma=None, ties="none"):
     if sigma <= 0:
         raise ValueError("step size must be positive")
     return CoxState(
-        X=x, y=y, delta=delta,
+        X=x, delta=delta,
         beta=zeros((n,), x.comm, x.dtype),
         lam=float(lam), sigma=float(sigma),
         Xbeta=np.empty(m, dtype=x.dtype),
@@ -407,10 +393,10 @@ def _cox_loglik(s, Wc):
     return float(np.sum(s.delta * (s.Xbeta - np.log(Wc))))
 
 
-def cox_partial_loglik(state, beta=None):
-    """Log partial likelihood at ``beta`` (defaults to the state's)."""
+def cox_partial_loglik(state):
+    """Log partial likelihood at the state's coefficients."""
     s = state
-    matmul(s.Xbeta, s.X, beta if beta is not None else s.beta)
+    matmul(s.Xbeta, s.X, s.beta)
     _risk_weights(s)
     return _cox_loglik(s, s.W[s.cuts])
 

@@ -181,6 +181,25 @@ def test_dtype_mismatch_exit_1(tmp_path):
     assert run(["nmf", "--input", path, "--rank", "2", "--precision", "f64"]) == 1
 
 
+@pytest.mark.parametrize("command", [["nmf", "--rank", "2"], ["mds", "--embed-dim", "2"]],
+                         ids=["nmf", "mds"])
+def test_zero_iters_exit_0(tmp_path, command):
+    path = str(tmp_path / "X.dsta")
+    assert run(["gen", "--rows", "4", "--cols", "5", "--seed", "1", "--out", path]) == 0
+    assert run(command + ["--input", path, "--iters", "0", "--backend", "inproc:2"]) == 0
+
+
+@pytest.mark.parametrize("header", [
+    b"DSTA" + struct.pack("<B", 1),                                      # no ndim
+    b"DSTA" + struct.pack("<B", 1) + struct.pack("<QQ", 2, 3),           # one of two extents
+    b"DSTA" + struct.pack("<B", 1) + struct.pack("<Q", 2 ** 59),         # ndim past numpy's 64
+], ids=["no-ndim", "short-extents", "huge-ndim"])
+def test_malformed_header_exit_1(tmp_path, header):
+    path = tmp_path / "bad.dsta"
+    path.write_bytes(header)
+    assert run(["nmf", "--input", str(path), "--rank", "2"]) == 1
+
+
 def test_env_var_overrides_backend_flag(tmp_path, monkeypatch):
     out = str(tmp_path / "env.dsta")
     monkeypatch.setenv("DISTSTAT_BACKEND", "inproc:3")

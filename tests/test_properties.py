@@ -1,14 +1,23 @@
-"""Property tests: every matmul scenario against numpy, on generated inputs."""
+"""Property tests on generated inputs: every matmul scenario against numpy, and the
+distribution, random-fill, scan and reduction contracts on every rank count."""
 
 import numpy as np
 import pytest
 
-from blockstat.comm import run_inproc
+from blockstat.comm import ReduceOp, run_inproc
+from blockstat.distarray import distribute, empty, gather_full, rand_fill, reduce_all, scan
 from blockstat.distlinalg import SCENARIOS, matmul
 from blockstat.testing import materialize, scenario_operands, tmp_shape
+from conftest import run_socket
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
+
+
+def _ints(draw, shape, dtype):
+    n = int(np.prod(shape))
+    return np.array(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)),
+                    dtype=dtype).reshape(shape)
 
 
 @st.composite
@@ -16,13 +25,27 @@ def _operands(draw, vector):
     """Integer-valued A (p, q) and B (q, r) or (q,), so every sum is exact."""
     p, q, r = (draw(st.integers(0, 6)) for _ in range(3))
     dtype = draw(st.sampled_from(["float32", "float64", "int64"]))
+    return (_ints(draw, (p, q), dtype), _ints(draw, (q,) if vector else (q, r), dtype),
+            draw(st.booleans()))
 
-    def ints(shape):
-        n = int(np.prod(shape))
-        return np.array(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)),
-                        dtype=dtype).reshape(shape)
 
-    return ints((p, q)), ints((q,) if vector else (q, r)), draw(st.booleans())
+# 1-3 dimensions; split extents 0..5, so up to 4 ranks often own no columns
+_SHAPES = st.lists(st.integers(0, 5), min_size=1, max_size=3).map(tuple)
+
+
+@st.composite
+def _arrays(draw):
+    """Integer-valued f32/f64/i64 arrays, so every sum and prefix sum is exact."""
+    return _ints(draw, draw(_SHAPES), draw(st.sampled_from(["float32", "float64", "int64"])))
+
+
+def _examples(n):
+    return settings(max_examples=n, deadline=None, derandomize=True, database=None)
+
+
+def _assert_bitwise(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes(), (got, want)
 
 
 def _product(comm, row, a_dense, b_dense, use_tmp):
@@ -50,3 +73,76 @@ def test_matmul_bitwise_equal_to_numpy_on_every_rank_count(row):
                 assert got.tobytes() == want.tobytes(), (ranks, got, want)
 
     check()
+
+
+def _round_trip(comm, data):
+    return gather_full(distribute(data if comm.rank == 0 else None, comm))
+
+
+@_examples(150)
+@given(_arrays())
+def test_distribute_gather_round_trip_is_bitwise(data):
+    for ranks in (1, 2, 3, 4):
+        for got in run_inproc(ranks, _round_trip, data):
+            _assert_bitwise(got, data)
+
+
+@_examples(20)
+@given(_arrays())
+def test_distribute_gather_round_trip_over_sockets(data):
+    for got in run_socket(2, _round_trip, data):
+        _assert_bitwise(got, data)
+
+
+def _common_fill(comm, shape, dtype, seed, dist):
+    a = empty(shape, comm, dtype)
+    rand_fill(a, seed=seed, common_init=True, dist=dist)
+    return gather_full(a)
+
+
+@_examples(100)
+@given(_SHAPES, st.sampled_from(["float32", "float64"]), st.integers(0, 2 ** 32),
+       st.sampled_from(["uniform01", "standard_normal"]))
+def test_rand_fill_common_init_independent_of_rank_count(shape, dtype, seed, dist):
+    want = run_inproc(1, _common_fill, shape, dtype, seed, dist)[0]
+    assert want.shape == shape
+    for ranks in (2, 3, 4):
+        for got in run_inproc(ranks, _common_fill, shape, dtype, seed, dist):
+            _assert_bitwise(got, want)
+
+
+def _split_axis_scan(comm, data):
+    a = distribute(data if comm.rank == 0 else None, comm)
+    out = empty(a.shape, comm, a.dtype)
+    scan(out, a, axis=data.ndim - 1)
+    return gather_full(out)
+
+
+@_examples(100)
+@given(_arrays())
+def test_scan_along_split_axis_equals_cumsum(data):
+    want = np.cumsum(data, axis=-1)
+    for ranks in (1, 2, 3, 4):
+        for got in run_inproc(ranks, _split_axis_scan, data):
+            _assert_bitwise(got, want)
+
+
+def _reduce(comm, data, op):
+    return reduce_all(distribute(data if comm.rank == 0 else None, comm), op)
+
+
+_NUMPY_FOLD = {ReduceOp.SUM: np.sum, ReduceOp.MIN: np.min, ReduceOp.MAX: np.max}
+
+
+@_examples(100)
+@given(_arrays())
+def test_reduce_all_equals_numpy(data):
+    for op, fold in _NUMPY_FOLD.items():
+        for ranks in (1, 2, 3, 4):
+            if data.size == 0 and op is not ReduceOp.SUM:
+                with pytest.raises(ValueError):
+                    run_inproc(ranks, _reduce, data, op)
+                continue
+            want = fold(data).item()
+            for got in run_inproc(ranks, _reduce, data, op):
+                assert got == want and type(got) is type(want), (op, ranks, got, want)
