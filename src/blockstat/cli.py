@@ -23,6 +23,7 @@ contract violation.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import struct
 import sys
@@ -103,11 +104,11 @@ def read_matrix(path, comm, dtype=None):
                 stored, shape = _read_header(fh)
                 if dtype is not None and stored != np.dtype(dtype):
                     raise FormatError(f"file holds {stored}, run expects {np.dtype(dtype)}")
-                want = int(np.prod(shape)) * stored.itemsize
-                payload = fh.read()
-                if len(payload) != want:
-                    raise FormatError(f"payload is {len(payload)} bytes, expected {want}")
-                data = np.frombuffer(payload, dtype=stored).reshape(shape, order="F")
+                want = math.prod(shape) * stored.itemsize  # Python ints: no int64 wrap
+                have = os.fstat(fh.fileno()).st_size - fh.tell()
+                if have != want:
+                    raise FormatError(f"payload is {have} bytes, expected {want}")
+                data = np.frombuffer(fh.read(), dtype=stored).reshape(shape, order="F")
         except (OSError, FormatError) as exc:
             status[0] = 1
             message = str(exc)

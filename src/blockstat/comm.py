@@ -12,7 +12,8 @@ contract:
 ``tcp:<host:port>,...,rank=<r>``
     One OS process per rank.  Rank 0 listens on the first list entry and
     acts as a hub; every other rank connects to it.  Messages are
-    length-prefixed little-endian binary frames, uncompressed.
+    length-prefixed little-endian binary frames, uncompressed; payloads go
+    straight between the sockets and numpy arrays.
 
 Reductions fold contributions in ascending rank order with no tree
 reassociation, so floating-point results are identical run to run and
@@ -364,6 +365,7 @@ class _InProcCommunicator(Communicator):
 
 _HELLO = struct.pack("<4s", b"BSTW")
 _HEADER_FMT = "<BQbbiqqQ"  # op, seq, dtype, redop, root, send_len, recv_len, ncounts
+_HEADER_LEN = struct.calcsize(_HEADER_FMT)
 
 
 def _pack_header(header):
@@ -378,52 +380,76 @@ def _pack_header(header):
     return packed
 
 
-def _unpack_header(body):
-    base = struct.calcsize(_HEADER_FMT)
-    op, seq, dtype, redop, root, send_len, recv_len, ncounts = struct.unpack_from(_HEADER_FMT, body)
-    counts = struct.unpack_from(f"<{ncounts}Q", body, base) if ncounts else None
-    header = _header(_OP_NAMES[op], dtype, root, send_len, recv_len, counts, redop)
-    header["seq"] = seq
-    return header, body[base + 8 * ncounts:]
+def _wire_dtype(header):
+    """The payload dtype a header names (bytes for a barrier, which sends none)."""
+    return np.dtype(np.uint8) if header["op"] == "barrier" else _CODE_DTYPES[header["dtype"]]
 
 
-def _send_frame(sock, body):
+def _sent_len(header, rank):
+    """Values ``rank`` sends: all of an allreduce or root broadcast, else ``send_len``."""
+    op = header["op"]
+    whole = op == "allreduce" or (op == "broadcast" and header["root"] == rank)
+    return max(header["recv_len"] if whole else header["send_len"], 0)
+
+
+def _send_frame(sock, head, payload=None):
+    """Send one frame: its 8-byte length, ``head`` (bytes), then the contiguous
+    array ``payload`` straight from its memory."""
+    view = memoryview(b"" if payload is None else payload).cast("B")
+    head = struct.pack("<Q", len(head) + len(view)) + head
     try:
-        sock.sendall(struct.pack("<Q", len(body)) + body)
+        sent = sock.sendmsg([head, view])
+        for part in (head, view):  # finish what one sendmsg left unsent
+            if sent < len(part):
+                sock.sendall(part[sent:])
+            sent = max(sent - len(part), 0)
     except OSError as exc:
         raise CommError(f"socket send failed: {exc}") from exc
 
 
-def _recv_exact(sock, n):
-    chunks = []
-    got = 0
-    while got < n:
+def _recv_into(sock, buf, got=0, least=None):
+    """Fill the contiguous ``buf`` from byte ``got`` on, or stop once at least
+    ``least`` bytes are in; returns the number of bytes in ``buf``."""
+    view = memoryview(buf).cast("B")
+    while got < (len(view) if least is None else least):
         try:
-            chunk = sock.recv(min(n - got, 1 << 20))
+            n = sock.recv_into(view[got:])
         except socket.timeout as exc:
             raise CommError("socket receive timed out") from exc
         except OSError as exc:
             raise CommError(f"socket receive failed: {exc}") from exc
-        if not chunk:
+        if not n:
             raise CommError("peer closed connection mid-collective")
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
+        got += n
+    return got
 
 
-def _recv_frame(sock):
-    (n,) = struct.unpack("<Q", _recv_exact(sock, 8))
-    return _recv_exact(sock, n)
+def _recv_exact(sock, n):
+    buf = bytearray(n)
+    _recv_into(sock, buf)
+    return buf
 
 
-def _payload_bytes(payload):
-    return b"" if payload is None else np.ascontiguousarray(payload).tobytes()
-
-
-def _payload_array(data, dtype_code):
-    if dtype_code < 0:
-        return None
-    return np.frombuffer(data, dtype=_CODE_DTYPES[dtype_code])
+def _recv_request(sock, rank):
+    """One leaf frame, whose length must match what its header says ``rank``
+    sends; checked before the counts and payload are read into a new array."""
+    head = bytearray(8 + _HEADER_LEN)
+    got = _recv_into(sock, head, least=8)  # the rest of head is in every valid frame
+    (n,) = struct.unpack_from("<Q", head)
+    if n < _HEADER_LEN:
+        raise ValueError(f"frame of {n} bytes is shorter than a header")
+    _recv_into(sock, head, got)
+    op, seq, dtype, redop, root, send_len, recv_len, ncounts = struct.unpack_from(
+        _HEADER_FMT, head, 8)
+    header = dict(_header(_OP_NAMES[op], dtype, root, send_len, recv_len, None, redop), seq=seq)
+    count, wire = _sent_len(header, rank), _wire_dtype(header)
+    if n != _HEADER_LEN + 8 * ncounts + count * wire.itemsize:
+        raise ValueError(f"frame of {n} bytes, header allows {count} values and {ncounts} counts")
+    body = np.empty(n - _HEADER_LEN, np.uint8)  # counts, then the payload 8-byte aligned
+    _recv_into(sock, body)
+    if ncounts:
+        header["counts"] = struct.unpack_from(f"<{ncounts}Q", body)
+    return header, body[8 * ncounts:].view(wire)
 
 
 class _SocketCommunicator(Communicator):
@@ -447,32 +473,33 @@ class _SocketCommunicator(Communicator):
         headers = [header]
         payloads = [payload]
         for r in range(1, self.size):
-            frame = _recv_frame(self._peers[r])
-            try:  # unknown op/dtype code, short header, ragged payload
-                h, raw = _unpack_header(frame)
-                payloads.append(_payload_array(raw, h["dtype"]))
-            except (KeyError, struct.error, ValueError) as exc:
+            try:  # unknown op/dtype code, short header, length the header does not allow
+                h, raw = _recv_request(self._peers[r], r)
+            except (KeyError, ValueError) as exc:
                 raise CommError(f"malformed frame from rank {r}: {exc!r}") from exc
             headers.append(h)
+            payloads.append(raw)
         try:
             _validate_headers(headers)
         except CollectiveContractError as exc:
-            body = struct.pack("<B", 1) + str(exc).encode()
             for r in range(1, self.size):
-                _send_frame(self._peers[r], body)
+                _send_frame(self._peers[r], b"\x01" + str(exc).encode())
             raise
         outs = _responses(headers, payloads, self.size)
         for r in range(1, self.size):
-            _send_frame(self._peers[r], struct.pack("<B", 0) + _payload_bytes(outs[r]))
+            _send_frame(self._peers[r], b"\x00", outs[r])
         return outs[0]
 
     def _transact_leaf(self, header, payload):
-        _send_frame(self._hub, _pack_header(header) + _payload_bytes(payload))
-        body = _recv_frame(self._hub)
-        status = body[0]
+        _send_frame(self._hub, _pack_header(header), payload)
+        n, status = struct.unpack("<QB", _recv_exact(self._hub, 9))
         if status != 0:
-            raise CollectiveContractError(body[1:].decode())
-        return _payload_array(body[1:], header["dtype"])
+            raise CollectiveContractError(_recv_exact(self._hub, n - 1).decode())
+        out = np.empty(max(header["recv_len"], 0), _wire_dtype(header))
+        if n - 1 != out.nbytes:
+            raise CommError(f"hub reply holds {n - 1} payload bytes, expected {out.nbytes}")
+        _recv_into(self._hub, out)
+        return out
 
     def close(self):
         if self._hub is not None:

@@ -63,6 +63,18 @@ def test_matrix_truncated_payload(tmp_path):
         run_inproc(1, fn)
 
 
+def test_matrix_extents_whose_product_wraps_int64(tmp_path):
+    path = tmp_path / "huge.dsta"
+    # 2**64 f64 values and no payload: a size computed in int64 wraps to 0 bytes
+    path.write_bytes(b"DSTA" + struct.pack("<BQQQ", 1, 2, 2 ** 32, 2 ** 32))
+
+    def fn(comm):
+        read_matrix(path, comm)
+
+    with pytest.raises(FormatError, match="expected 147573952589676412928"):
+        run_inproc(1, fn)
+
+
 def test_matrix_dtype_mismatch_no_cast(tmp_path):
     path = tmp_path / "f32.dsta"
     write_matrix(path, np.ones((2, 2), dtype=np.float32))

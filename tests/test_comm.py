@@ -1,5 +1,6 @@
 """Collective communication contract tests, run on both backends."""
 
+import hashlib
 import socket
 import struct
 
@@ -242,6 +243,44 @@ def test_backends_bitwise_identical():
             np.testing.assert_array_equal(x, y)
 
 
+def _large_collectives(comm):
+    """Every collective on payloads of 4 MB or more; digests of each result."""
+    gen = np.random.Generator(np.random.Philox(17 + comm.rank))
+    rank, size = comm.rank, comm.size
+    digests = []
+
+    def keep(arr):
+        digests.append(hashlib.sha256(arr.tobytes()).hexdigest())
+
+    for dtype in (np.float32, np.float64, np.int64):
+        n = (4 << 20) // np.dtype(dtype).itemsize  # more than loopback socket buffers hold
+        counts = [n + 3 * r for r in range(size)]
+
+        def draw(k):
+            return (gen.standard_normal(k) * 1e3).astype(dtype)
+
+        buf = draw(n)
+        comm.broadcast(buf, root=size - 1)
+        keep(buf)
+        buf = draw(n)
+        comm.allreduce(buf, ReduceOp.SUM)
+        keep(buf)
+        recv = np.empty(sum(counts), dtype)
+        comm.allgatherv(draw(counts[rank]), recv, counts)
+        keep(recv)
+        recv = np.empty(counts[rank], dtype)
+        comm.scatterv(draw(sum(counts)) if rank == 1 else None, recv, counts, root=1)
+        keep(recv)
+    grid = gen.standard_normal((512, 1024))  # C order, so the flat payload is a copy
+    comm.allreduce(grid, ReduceOp.SUM)
+    keep(grid)
+    return digests
+
+
+def test_large_payloads_bitwise_identical():
+    assert run_socket(3, _large_collectives) == run_inproc(3, _large_collectives)
+
+
 def test_repeated_runs_deterministic(world_runner):
     one = world_runner(4, _random_collectives, 7)
     two = world_runner(4, _random_collectives, 7)
@@ -270,3 +309,28 @@ def test_hub_rejects_malformed_frame(frame):
         _send_frame(leaf_end, frame)
         with pytest.raises(CommError, match="malformed frame from rank 1"):
             hub.allreduce(np.zeros(2))
+
+
+@pytest.mark.parametrize("frame", [
+    struct.pack("<Q", 2 ** 62) + _allreduce_frame(),                          # 4 EiB claimed
+    struct.pack("<Q", 63) + _allreduce_frame(payload=np.zeros(3).tobytes()),  # 3 values, not 2
+], ids=["huge-length", "long-payload"])
+def test_hub_rejects_frame_its_header_does_not_allow(frame):
+    hub_end, leaf_end = socket.socketpair()
+    with hub_end, leaf_end:
+        hub_end.settimeout(5.0)
+        hub = _SocketCommunicator(0, 2, peers=[None, hub_end])
+        leaf_end.sendall(frame)
+        with pytest.raises(CommError, match="malformed frame from rank 1"):
+            hub.allreduce(np.zeros(2))
+
+
+@pytest.mark.parametrize("values", [1, 3], ids=["short", "long"])
+def test_leaf_rejects_reply_of_wrong_length(values):
+    hub_end, leaf_end = socket.socketpair()
+    with hub_end, leaf_end:
+        leaf_end.settimeout(5.0)
+        leaf = _SocketCommunicator(1, 2, hub=leaf_end)
+        _send_frame(hub_end, b"\x00" + np.zeros(values).tobytes())
+        with pytest.raises(CommError, match="hub reply"):
+            leaf.allreduce(np.zeros(2))
