@@ -366,6 +366,7 @@ class _InProcCommunicator(Communicator):
 _HELLO = struct.pack("<4s", b"BSTW")
 _HEADER_FMT = "<BQbbiqqQ"  # op, seq, dtype, redop, root, send_len, recv_len, ncounts
 _HEADER_LEN = struct.calcsize(_HEADER_FMT)
+_ERROR_REPLY_MAX = 1 << 20  # bytes of a hub error message; real ones are far shorter
 
 
 def _pack_header(header):
@@ -430,9 +431,10 @@ def _recv_exact(sock, n):
     return buf
 
 
-def _recv_request(sock, rank):
+def _recv_request(sock, rank, limit):
     """One leaf frame, whose length must match what its header says ``rank``
-    sends; checked before the counts and payload are read into a new array."""
+    sends and be at most ``limit`` bytes past the header; both are checked
+    before the counts and payload are read into a new array."""
     head = bytearray(8 + _HEADER_LEN)
     got = _recv_into(sock, head, least=8)  # the rest of head is in every valid frame
     (n,) = struct.unpack_from("<Q", head)
@@ -445,6 +447,10 @@ def _recv_request(sock, rank):
     count, wire = _sent_len(header, rank), _wire_dtype(header)
     if n != _HEADER_LEN + 8 * ncounts + count * wire.itemsize:
         raise ValueError(f"frame of {n} bytes, header allows {count} values and {ncounts} counts")
+    if n - _HEADER_LEN > limit:
+        raise CollectiveContractError(
+            f"{header['op']} from rank {rank} carries {n - _HEADER_LEN} bytes, "
+            f"rank 0's header allows at most {limit}")
     body = np.empty(n - _HEADER_LEN, np.uint8)  # counts, then the payload 8-byte aligned
     _recv_into(sock, body)
     if ncounts:
@@ -472,14 +478,18 @@ class _SocketCommunicator(Communicator):
     def _transact_hub(self, header, payload):
         headers = [header]
         payloads = [payload]
-        for r in range(1, self.size):
-            try:  # unknown op/dtype code, short header, length the header does not allow
-                h, raw = _recv_request(self._peers[r], r)
-            except (KeyError, ValueError) as exc:
-                raise CommError(f"malformed frame from rank {r}: {exc!r}") from exc
-            headers.append(h)
-            payloads.append(raw)
+        # No rank sends more than counts and the largest buffer in rank 0's own
+        # header, at 8 bytes a value; a larger claim disagrees with that header.
+        most = max(header["send_len"], header["recv_len"], sum(header["counts"] or ()))
+        limit = 8 * (self.size + most)
         try:
+            for r in range(1, self.size):
+                try:  # unknown op/dtype code, short header, length the header does not allow
+                    h, raw = _recv_request(self._peers[r], r, limit)
+                except (KeyError, ValueError) as exc:
+                    raise CommError(f"malformed frame from rank {r}: {exc!r}") from exc
+                headers.append(h)
+                payloads.append(raw)
             _validate_headers(headers)
         except CollectiveContractError as exc:
             for r in range(1, self.size):
@@ -494,6 +504,8 @@ class _SocketCommunicator(Communicator):
         _send_frame(self._hub, _pack_header(header), payload)
         n, status = struct.unpack("<QB", _recv_exact(self._hub, 9))
         if status != 0:
+            if not 0 <= n - 1 <= _ERROR_REPLY_MAX:
+                raise CommError(f"hub error reply of {n - 1} bytes, over {_ERROR_REPLY_MAX}")
             raise CollectiveContractError(_recv_exact(self._hub, n - 1).decode())
         out = np.empty(max(header["recv_len"], 0), _wire_dtype(header))
         if n - 1 != out.nbytes:

@@ -328,6 +328,7 @@ class CoxState:
     grad: DistArray        # length-n distributed gradient
     cuts: np.ndarray       # (m,) last index of each tied block (arange if no ties)
     starts: np.ndarray     # (m,) first index of each tied block (arange if no ties)
+    tied: bool             # some observed times tie, so cuts and starts are not arange
     trace: list = field(default_factory=list)
 
 
@@ -344,14 +345,12 @@ def cox_init(x, y, delta, lam, sigma=None, ties="none"):
         raise ValueError("samples must be ordered by nonincreasing observed time")
     if not np.all((delta == 0) | (delta == 1)):
         raise ValueError("event indicators must be 0 or 1")
-    if ties == "none":
-        if np.any(np.diff(y) == 0):
-            raise ValueError("tied observed times need ties='breslow'")
-        cuts = np.arange(m, dtype=np.int64)
-    elif ties == "breslow":
-        cuts = np.searchsorted(-y, -y, side="right").astype(np.int64) - 1
-    else:
+    if ties not in ("none", "breslow"):
         raise ValueError(f"unknown tie mode {ties!r}")
+    tied = bool(np.any(np.diff(y) == 0))
+    if tied and ties == "none":
+        raise ValueError("tied observed times need ties='breslow'")
+    cuts = np.searchsorted(-y, -y, side="right").astype(np.int64) - 1  # arange if not tied
     if sigma is None:
         norm2 = opnorm(x, "l2_power")
         sigma = 1.0 / (2.0 * norm2 * norm2)
@@ -368,6 +367,7 @@ def cox_init(x, y, delta, lam, sigma=None, ties="none"):
         grad=empty((n,), x.comm, x.dtype),
         cuts=cuts,
         starts=np.searchsorted(cuts, np.arange(m), side="left"),
+        tied=tied,
     )
 
 
@@ -388,6 +388,11 @@ def _risk_weights(state):
     np.cumsum(s.w, out=s.W)
 
 
+def _risk_sums(s):
+    """``W[cuts]``, the risk sum of each sample's tied block; ``W`` itself without ties."""
+    return s.W[s.cuts] if s.tied else s.W
+
+
 def _cox_loglik(s, Wc):
     """Log partial likelihood from ``Xbeta`` and the risk sums ``Wc = W[cuts]``."""
     return float(np.sum(s.delta * (s.Xbeta - np.log(Wc))))
@@ -398,7 +403,7 @@ def cox_partial_loglik(state):
     s = state
     matmul(s.Xbeta, s.X, s.beta)
     _risk_weights(s)
-    return _cox_loglik(s, s.W[s.cuts])
+    return _cox_loglik(s, _risk_sums(s))
 
 
 def pi_delta(out, w, W, delta, lo, hi, comm, cuts=None):
@@ -437,14 +442,14 @@ def cox_fit(state, iters, monitor=None, trace_every=1):
     for it in range(iters):
         matmul(s.Xbeta, s.X, s.beta)
         _risk_weights(s)
-        Wc = s.W[s.cuts]
+        Wc = _risk_sums(s)
         if trace_every and it % trace_every == 0:
             obj = -_cox_loglik(s, Wc) + lam * reduce_all(s.beta, transform=np.abs)
             s.trace.append(obj)
             if monitor is not None and converged(monitor, obj):
                 break
         suffix = np.cumsum((s.delta / Wc)[::-1])[::-1]
-        np.multiply(suffix[s.starts], s.w, out=s.pd)
+        np.multiply(suffix[s.starts] if s.tied else suffix, s.w, out=s.pd)
         dmpd = s.delta - s.pd
         matmul(s.grad, transpose(s.X), dmpd)
         map_broadcast(s.beta, lambda b, g: soft_threshold(b + sigma * g, lam),

@@ -325,6 +325,46 @@ def test_hub_rejects_frame_its_header_does_not_allow(frame):
             hub.allreduce(np.zeros(2))
 
 
+def test_hub_bounds_a_claim_by_its_own_header():
+    # A self-consistent header and frame length for 2^58 values: the hub must
+    # compare the claim with its own 2-value allreduce before allocating.
+    values = 2 ** 58
+    head = struct.pack(_HEADER_FMT, 2, 1, 1, 0, -1, -1, values, 0)
+    hub_end, leaf_end = socket.socketpair()
+    with hub_end, leaf_end:
+        hub_end.settimeout(5.0)
+        hub = _SocketCommunicator(0, 2, peers=[None, hub_end])
+        leaf_end.sendall(struct.pack("<Q", len(head) + 8 * values) + head)
+        with pytest.raises(CollectiveContractError, match="rank 0's header allows"):
+            hub.allreduce(np.zeros(2))
+        _, status = struct.unpack("<QB", leaf_end.recv(9))
+        assert status == 1  # the leaf is told too
+
+
+def _oversized_allreduce(comm):
+    try:
+        comm.allreduce(np.zeros(1 if comm.rank == 0 else 1 << 20), ReduceOp.SUM)
+    except CommError as exc:
+        comm.abort()  # ends the world, as a failed rank's exit would
+        return type(exc)
+
+
+def test_oversized_buffer_mismatch_raises_on_every_rank():
+    kinds = run_socket(2, _oversized_allreduce)
+    assert kinds[0] is CollectiveContractError
+    assert all(issubclass(k, CommError) for k in kinds)
+
+
+def test_leaf_bounds_an_error_reply():
+    hub_end, leaf_end = socket.socketpair()
+    with hub_end, leaf_end:
+        leaf_end.settimeout(5.0)
+        leaf = _SocketCommunicator(1, 2, hub=leaf_end)
+        hub_end.sendall(struct.pack("<QB", 2 ** 62, 1))  # claims a 4 EiB message
+        with pytest.raises(CommError, match="hub error reply"):
+            leaf.allreduce(np.zeros(2))
+
+
 @pytest.mark.parametrize("values", [1, 3], ids=["short", "long"])
 def test_leaf_rejects_reply_of_wrong_length(values):
     hub_end, leaf_end = socket.socketpair()

@@ -321,6 +321,17 @@ def test_opnorm_random_vs_svd(p):
             assert quick >= power - 1e-6
 
 
+@pytest.mark.parametrize("p", [1, 2, 4])
+def test_opnorm_l2_power_converges_in_a_few_steps(p):
+    # Top singular values of a tall Gaussian matrix lie close together, so
+    # 17 plain power steps stop about 2 % short; Lanczos converges in fewer.
+    data = rng(61).standard_normal((2000, 16))
+    want = np.linalg.norm(data, 2)
+    got = run_inproc(p, lambda comm: opnorm(_dist(comm, data), "l2_power", maxiter=17))
+    assert len(set(got)) == 1
+    assert abs(got[0] - want) <= 1e-6 * want
+
+
 def test_opnorm_empty_rejected():
     def fn(comm):
         opnorm(empty((0, 3), comm), "l1")

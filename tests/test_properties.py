@@ -1,12 +1,13 @@
-"""Property tests on generated inputs: every matmul scenario against numpy, and the
-distribution, random-fill, scan and reduction contracts on every rank count."""
+"""Property tests on generated inputs: every matmul scenario against numpy, the
+distribution, random-fill, scan and reduction contracts on every rank count, and
+the spectral-norm estimate against the SVD."""
 
 import numpy as np
 import pytest
 
 from blockstat.comm import ReduceOp, run_inproc
 from blockstat.distarray import distribute, empty, gather_full, rand_fill, reduce_all, scan
-from blockstat.distlinalg import SCENARIOS, matmul
+from blockstat.distlinalg import SCENARIOS, matmul, opnorm
 from blockstat.testing import materialize, scenario_operands, tmp_shape
 from conftest import run_socket
 
@@ -146,3 +147,31 @@ def test_reduce_all_equals_numpy(data):
             want = fold(data).item()
             for got in run_inproc(ranks, _reduce, data, op):
                 assert got == want and type(got) is type(want), (op, ranks, got, want)
+
+
+@st.composite
+def _spectral_cases(draw):
+    """Gaussian, rank-1 or zero (m, n) matrices with m, n in 1..12."""
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    gen = np.random.Generator(np.random.Philox(draw(st.integers(0, 2 ** 32))))
+    kind = draw(st.sampled_from(["gaussian", "rank1", "zero"]))
+    if kind == "gaussian":
+        return gen.standard_normal((m, n))
+    if kind == "rank1":
+        return np.outer(gen.standard_normal(m), gen.standard_normal(n))
+    return np.zeros((m, n))
+
+
+def _l2_power(comm, data):
+    return opnorm(distribute(data if comm.rank == 0 else None, comm), "l2_power", tol=1e-12)
+
+
+@_examples(100)
+@given(_spectral_cases(), st.integers(1, 4))
+def test_opnorm_l2_power_matches_svd(data, ranks):
+    sigma = np.linalg.svd(data, compute_uv=False)[0]
+    got = run_inproc(ranks, _l2_power, data)
+    assert len(set(got)) == 1
+    assert abs(got[0] - sigma) <= 1e-8 * sigma
+    assert got[0] <= sigma * (1 + 1e-12)
+    assert run_socket(2, _l2_power, data) == run_inproc(2, _l2_power, data)
