@@ -2,7 +2,9 @@
 
 Both update rules work purely on column-split blocks: the r x m and r x n
 factor blocks stay distributed, and only r x r products and an r x m
-staging buffer are ever replicated.
+staging buffer are ever replicated.  Both are monotone; projected gradient
+(APG) steps by 1 / (2 ||G||_F) for the r x r Gram matrix G and ends close to
+the multiplicative rule.
 
 Run with:  python demos/03_nmf.py
 """

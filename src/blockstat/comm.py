@@ -32,6 +32,8 @@ import enum
 import socket
 import struct
 import threading
+import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,10 +55,12 @@ class RankAbortedError(CommError):
 
 
 class ReduceOp(enum.Enum):
-    SUM = "sum"
-    PROD = "prod"
-    MAX = "max"
-    MIN = "min"
+    """Elementwise reduction operator; its value is its wire code."""
+
+    SUM = 0
+    PROD = 1
+    MAX = 2
+    MIN = 3
 
 
 _REDUCE_UFUNC = {
@@ -73,12 +77,30 @@ _DTYPE_CODES = {
 }
 _CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
 
-_WAIT_S = 180.0  # longest wait for a peer inside a collective, in seconds
 
-_OP_CODES = {"barrier": 0, "broadcast": 1, "allreduce": 2, "allgatherv": 3, "scatterv": 4}
-_OP_NAMES = {v: k for k, v in _OP_CODES.items()}
-_REDOP_CODES = {op.value: i for i, op in enumerate(ReduceOp)}
-_REDOP_NAMES = {v: k for k, v in _REDOP_CODES.items()}
+class _Op(enum.IntEnum):
+    BARRIER = 0
+    BROADCAST = 1
+    ALLREDUCE = 2
+    ALLGATHERV = 3
+    SCATTERV = 4
+
+
+_HEADER_FMT = "<BQbbiqqQ"  # _Header's fields, with len(counts) for counts
+_HEADER_LEN = struct.calcsize(_HEADER_FMT)
+
+
+class _Header(NamedTuple):
+    """A collective's header as wire codes in ``_HEADER_FMT`` order; -1 marks an unused field."""
+
+    op: _Op
+    seq: int
+    dtype: int = -1
+    redop: int = -1
+    root: int = -1
+    send_len: int = -1
+    recv_len: int = -1
+    counts: tuple = ()
 
 
 def _flat(buf):
@@ -93,104 +115,56 @@ def _writeback(buf, flat):
     buf[...] = np.asarray(flat).reshape(buf.shape, order="F")
 
 
-def _fold(parts, redop):
+def _fold(parts, ufunc):
     """Fold payloads in ascending rank order; no reassociation."""
     acc = np.array(parts[0], copy=True)
-    fn = _REDUCE_UFUNC[redop]
     for part in parts[1:]:
-        fn(acc, part, out=acc)
+        ufunc(acc, part, out=acc)
     return acc
 
 
-def _check_agree(headers, field, what):
-    ref = headers[0][field]
-    for r, h in enumerate(headers):
-        if h[field] != ref:
-            raise CollectiveContractError(
-                f"{what} mismatch: rank 0 has {ref!r}, rank {r} has {h[field]!r}"
-            )
-
-
-def _header(op, dtype=-1, root=-1, send_len=-1, recv_len=-1, counts=None, redop=-1):
-    """A collective's header; -1 and None mark fields the op does not use."""
-    return {"op": op, "dtype": dtype, "root": root, "send_len": send_len,
-            "recv_len": recv_len, "counts": counts, "redop": redop}
+def _implied(h, rank):
+    """Rank 0's header ``h`` as it applies to ``rank``: only lengths may differ."""
+    if h.op == _Op.ALLGATHERV:
+        return h._replace(send_len=h.counts[rank], recv_len=sum(h.counts))
+    if h.op == _Op.SCATTERV:
+        return h._replace(send_len=sum(h.counts) if rank == h.root else -1,
+                          recv_len=h.counts[rank])
+    return h
 
 
 def _validate_headers(headers):
-    """Cross-rank contract checks shared by both backends."""
-    _check_agree(headers, "op", "collective operation")
-    _check_agree(headers, "seq", "collective sequence number")
-    op = headers[0]["op"]
-    if op == "barrier":
-        return
-    _check_agree(headers, "dtype", "buffer dtype")
-    if op == "broadcast":
-        _check_agree(headers, "root", "broadcast root")
-        _check_agree(headers, "recv_len", "broadcast buffer length")
-    elif op == "allreduce":
-        _check_agree(headers, "redop", "reduction operator")
-        _check_agree(headers, "recv_len", "allreduce buffer length")
-    elif op == "allgatherv":
-        _check_agree(headers, "counts", "allgatherv counts")
-        counts = headers[0]["counts"]
-        total = sum(counts)
-        for r, h in enumerate(headers):
-            if h["send_len"] != counts[r]:
-                raise CollectiveContractError(
-                    f"allgatherv: rank {r} sends {h['send_len']} values, counts say {counts[r]}"
-                )
-            if h["recv_len"] != total:
-                raise CollectiveContractError(
-                    f"allgatherv: rank {r} receive buffer holds {h['recv_len']}, need {total}"
-                )
-    elif op == "scatterv":
-        _check_agree(headers, "counts", "scatterv counts")
-        _check_agree(headers, "root", "scatterv root")
-        counts = headers[0]["counts"]
-        root = headers[0]["root"]
-        if headers[root]["send_len"] != sum(counts):
+    """Both backends' contract: each rank's header is the one rank 0's call implies."""
+    for r, h in enumerate(headers):
+        want = _implied(headers[0], r)
+        if h != want:
+            field, a, b = next(d for d in zip(_Header._fields, want, h) if d[1] != d[2])
             raise CollectiveContractError(
-                f"scatterv: root sends {headers[root]['send_len']} values, counts sum to {sum(counts)}"
-            )
-        for r, h in enumerate(headers):
-            if h["recv_len"] != counts[r]:
-                raise CollectiveContractError(
-                    f"scatterv: rank {r} receive buffer holds {h['recv_len']}, counts say {counts[r]}"
-                )
-    else:  # pragma: no cover - internal
-        raise CollectiveContractError(f"unknown collective {op!r}")
+                f"{field} mismatch: rank 0's call implies {a!r} for rank {r}, which has {b!r}")
 
 
-def _responses(headers, payloads, size):
-    """Per-rank result payloads for a validated collective."""
-    op = headers[0]["op"]
-    if op == "barrier":
+def _responses(h, payloads, size):
+    """Per-rank result payloads of a collective whose agreed header is ``h``."""
+    if h.op == _Op.BARRIER:
         return [None] * size
-    if op == "broadcast":
-        out = payloads[headers[0]["root"]]
-        return [out] * size
-    if op == "allreduce":
-        out = _fold(payloads, ReduceOp(_REDOP_NAMES[headers[0]["redop"]]))
-        return [out] * size
-    if op == "allgatherv":
-        out = np.concatenate([payloads[r] for r in range(size)])
-        return [out] * size
-    if op == "scatterv":
-        counts = headers[0]["counts"]
-        send = payloads[headers[0]["root"]]
-        offs = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        return [send[offs[r]:offs[r + 1]] for r in range(size)]
-    raise CollectiveContractError(f"unknown collective {op!r}")  # pragma: no cover
+    if h.op == _Op.BROADCAST:
+        return [payloads[h.root]] * size
+    if h.op == _Op.ALLREDUCE:
+        return [_fold(payloads, _REDUCE_UFUNC[ReduceOp(h.redop)])] * size
+    if h.op == _Op.ALLGATHERV:
+        return [np.concatenate(payloads)] * size
+    send = payloads[h.root]  # scatterv
+    offs = np.concatenate([[0], np.cumsum(h.counts)]).astype(np.int64)
+    return [send[offs[r]:offs[r + 1]] for r in range(size)]
 
 
 class Communicator:
     """One rank's endpoint into a world of ``size`` ranks.
 
     A communicator is owned by a single logical thread of control.  All
-    ranks must invoke the same sequence of collectives; the in-process
-    backend detects violations via sequence numbers, the socket backend
-    via the hub's header checks.
+    ranks must invoke the same sequence of collectives.  Both backends check
+    that every rank's header equals the one rank 0's call implies for that
+    rank, and raise CollectiveContractError on every rank where one differs.
     """
 
     rank: int
@@ -200,6 +174,11 @@ class Communicator:
     def __init__(self):
         self._seq = 0
 
+    def _next_seq(self):
+        """Number the next collective; called after its arguments are checked."""
+        self._seq += 1
+        return self._seq
+
     # -- collectives -------------------------------------------------------
 
     def broadcast(self, buf, root=0):
@@ -207,15 +186,16 @@ class Communicator:
         if not 0 <= root < self.size:
             raise ValueError(f"root {root} out of range for size {self.size}")
         flat = _flat(buf)
-        header = _header("broadcast", _DTYPE_CODES[flat.dtype], root=root, recv_len=flat.size)
+        header = _Header(_Op.BROADCAST, dtype=_DTYPE_CODES[flat.dtype], root=root,
+                         recv_len=flat.size, seq=self._next_seq())
         out = self._transact(header, flat if self.rank == root else None)
         _writeback(buf, out)
 
     def allreduce(self, buf, op=ReduceOp.SUM):
         """Elementwise fold of all ranks' ``buf``, in place, ascending rank order."""
         flat = _flat(buf)
-        header = _header("allreduce", _DTYPE_CODES[flat.dtype], recv_len=flat.size,
-                         redop=_REDOP_CODES[op.value])
+        header = _Header(_Op.ALLREDUCE, dtype=_DTYPE_CODES[flat.dtype], redop=op.value,
+                         recv_len=flat.size, seq=self._next_seq())
         out = self._transact(header, flat)
         _writeback(buf, out)
 
@@ -226,8 +206,8 @@ class Communicator:
             raise ValueError(f"counts has {len(counts)} entries for {self.size} ranks")
         sflat = _flat(send)
         rflat = _flat(recv)
-        header = _header("allgatherv", _DTYPE_CODES[sflat.dtype], send_len=sflat.size,
-                         recv_len=rflat.size, counts=counts)
+        header = _Header(_Op.ALLGATHERV, dtype=_DTYPE_CODES[sflat.dtype], send_len=sflat.size,
+                         recv_len=rflat.size, counts=counts, seq=self._next_seq())
         out = self._transact(header, sflat)
         _writeback(recv, out)
 
@@ -236,20 +216,19 @@ class Communicator:
         counts = tuple(int(c) for c in counts)
         if len(counts) != self.size:
             raise ValueError(f"counts has {len(counts)} entries for {self.size} ranks")
+        if not 0 <= root < self.size:
+            raise ValueError(f"root {root} out of range for size {self.size}")
         rflat = _flat(recv)
-        if self.rank == root:
-            sflat = _flat(send)
-            send_len = sflat.size
-        else:
-            sflat, send_len = None, -1
-        header = _header("scatterv", _DTYPE_CODES[rflat.dtype], root=root, send_len=send_len,
-                         recv_len=rflat.size, counts=counts)
+        sflat = _flat(send) if self.rank == root else None
+        header = _Header(_Op.SCATTERV, dtype=_DTYPE_CODES[rflat.dtype], root=root,
+                         send_len=-1 if sflat is None else sflat.size, recv_len=rflat.size,
+                         counts=counts, seq=self._next_seq())
         out = self._transact(header, sflat)
         _writeback(recv, out)
 
     def barrier(self):
         """Block until every rank has entered."""
-        self._transact(_header("barrier"), None)
+        self._transact(_Header(_Op.BARRIER, seq=self._next_seq()), None)
 
     # -- backend hooks ------------------------------------------------------
 
@@ -317,10 +296,10 @@ class _InProcWorld:
     the k-parity snapshot.
     """
 
-    def __init__(self, size):
+    def __init__(self, size, timeout):
         self.size = size
         self.slots = [[None] * size, [None] * size]
-        self._barrier = _EventBarrier(size, _WAIT_S)
+        self._barrier = _EventBarrier(size, timeout)
 
     def exchange(self, rank, seq, entry):
         buf = self.slots[seq & 1]
@@ -342,18 +321,15 @@ class _InProcCommunicator(Communicator):
         self.size = world.size
 
     def _transact(self, header, payload):
-        self._seq += 1
-        header = dict(header, seq=self._seq)
         deposit = None if payload is None else np.array(payload, copy=True)
-        slots = self._world.exchange(self.rank, self._seq, (header, deposit))
+        slots = self._world.exchange(self.rank, header.seq, (header, deposit))
         if any(entry is None for entry in slots):
             raise CollectiveContractError(
                 "ranks invoked different numbers of collectives"
             )
-        headers = [h for h, _ in slots]
+        headers, payloads = zip(*slots)
         _validate_headers(headers)
-        payloads = [p for _, p in slots]
-        return _responses(headers, payloads, self.size)[self.rank]
+        return _responses(headers[0], payloads, self.size)[self.rank]
 
     def abort(self):
         self._world.abort()
@@ -364,33 +340,22 @@ class _InProcCommunicator(Communicator):
 # ---------------------------------------------------------------------------
 
 _HELLO = struct.pack("<4s", b"BSTW")
-_HEADER_FMT = "<BQbbiqqQ"  # op, seq, dtype, redop, root, send_len, recv_len, ncounts
-_HEADER_LEN = struct.calcsize(_HEADER_FMT)
 _ERROR_REPLY_MAX = 1 << 20  # bytes of a hub error message; real ones are far shorter
 
 
-def _pack_header(header):
-    counts = header["counts"] or ()
-    packed = struct.pack(
-        _HEADER_FMT,
-        _OP_CODES[header["op"]], header["seq"], header["dtype"], header["redop"],
-        header["root"], header["send_len"], header["recv_len"], len(counts),
-    )
-    if counts:
-        packed += struct.pack(f"<{len(counts)}Q", *counts)
-    return packed
+def _pack_header(h):
+    return struct.pack(f"{_HEADER_FMT}{len(h.counts)}Q", *h[:-1], len(h.counts), *h.counts)
 
 
-def _wire_dtype(header):
+def _wire_dtype(h):
     """The payload dtype a header names (bytes for a barrier, which sends none)."""
-    return np.dtype(np.uint8) if header["op"] == "barrier" else _CODE_DTYPES[header["dtype"]]
+    return np.dtype(np.uint8) if h.op == _Op.BARRIER else _CODE_DTYPES[h.dtype]
 
 
-def _sent_len(header, rank):
+def _sent_len(h, rank):
     """Values ``rank`` sends: all of an allreduce or root broadcast, else ``send_len``."""
-    op = header["op"]
-    whole = op == "allreduce" or (op == "broadcast" and header["root"] == rank)
-    return max(header["recv_len"] if whole else header["send_len"], 0)
+    whole = h.op == _Op.ALLREDUCE or (h.op == _Op.BROADCAST and h.root == rank)
+    return max(h.recv_len if whole else h.send_len, 0)
 
 
 def _send_frame(sock, head, payload=None):
@@ -441,20 +406,19 @@ def _recv_request(sock, rank, limit):
     if n < _HEADER_LEN:
         raise ValueError(f"frame of {n} bytes is shorter than a header")
     _recv_into(sock, head, got)
-    op, seq, dtype, redop, root, send_len, recv_len, ncounts = struct.unpack_from(
-        _HEADER_FMT, head, 8)
-    header = dict(_header(_OP_NAMES[op], dtype, root, send_len, recv_len, None, redop), seq=seq)
+    op, *fields, ncounts = struct.unpack_from(_HEADER_FMT, head, 8)
+    header = _Header(_Op(op), *fields)
     count, wire = _sent_len(header, rank), _wire_dtype(header)
     if n != _HEADER_LEN + 8 * ncounts + count * wire.itemsize:
         raise ValueError(f"frame of {n} bytes, header allows {count} values and {ncounts} counts")
     if n - _HEADER_LEN > limit:
         raise CollectiveContractError(
-            f"{header['op']} from rank {rank} carries {n - _HEADER_LEN} bytes, "
+            f"{header.op.name.lower()} from rank {rank} carries {n - _HEADER_LEN} bytes, "
             f"rank 0's header allows at most {limit}")
     body = np.empty(n - _HEADER_LEN, np.uint8)  # counts, then the payload 8-byte aligned
     _recv_into(sock, body)
     if ncounts:
-        header["counts"] = struct.unpack_from(f"<{ncounts}Q", body)
+        header = header._replace(counts=struct.unpack_from(f"<{ncounts}Q", body))
     return header, body[8 * ncounts:].view(wire)
 
 
@@ -469,8 +433,6 @@ class _SocketCommunicator(Communicator):
         self._hub = hub      # other ranks: connection to rank 0
 
     def _transact(self, header, payload):
-        self._seq += 1
-        header = dict(header, seq=self._seq)
         if self.rank == 0:
             return self._transact_hub(header, payload)
         return self._transact_leaf(header, payload)
@@ -480,7 +442,7 @@ class _SocketCommunicator(Communicator):
         payloads = [payload]
         # No rank sends more than counts and the largest buffer in rank 0's own
         # header, at 8 bytes a value; a larger claim disagrees with that header.
-        most = max(header["send_len"], header["recv_len"], sum(header["counts"] or ()))
+        most = max(header.send_len, header.recv_len, sum(header.counts))
         limit = 8 * (self.size + most)
         try:
             for r in range(1, self.size):
@@ -495,7 +457,7 @@ class _SocketCommunicator(Communicator):
             for r in range(1, self.size):
                 _send_frame(self._peers[r], b"\x01" + str(exc).encode())
             raise
-        outs = _responses(headers, payloads, self.size)
+        outs = _responses(header, payloads, self.size)
         for r in range(1, self.size):
             _send_frame(self._peers[r], b"\x00", outs[r])
         return outs[0]
@@ -507,7 +469,7 @@ class _SocketCommunicator(Communicator):
             if not 0 <= n - 1 <= _ERROR_REPLY_MAX:
                 raise CommError(f"hub error reply of {n - 1} bytes, over {_ERROR_REPLY_MAX}")
             raise CollectiveContractError(_recv_exact(self._hub, n - 1).decode())
-        out = np.empty(max(header["recv_len"], 0), _wire_dtype(header))
+        out = np.empty(max(header.recv_len, 0), _wire_dtype(header))
         if n - 1 != out.nbytes:
             raise CommError(f"hub reply holds {n - 1} payload bytes, expected {out.nbytes}")
         _recv_into(self._hub, out)
@@ -558,7 +520,6 @@ def _init_socket(hosts, rank, timeout):
     size = len(hosts)
     if size == 1:
         return _SocketCommunicator(0, 1)
-    sock_timeout = max(timeout, _WAIT_S)
     if rank == 0:
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -574,7 +535,7 @@ def _init_socket(hosts, rank, timeout):
                 except (socket.timeout, OSError) as exc:
                     raise CommInitError(f"hub accept failed: {exc}") from exc
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                conn.settimeout(sock_timeout)
+                conn.settimeout(timeout)
                 magic = _recv_exact(conn, 4)
                 r, claimed = struct.unpack("<ii", _recv_exact(conn, 8))
                 if magic != _HELLO or claimed != size or not 1 <= r < size or peers[r] is not None:
@@ -590,12 +551,9 @@ def _init_socket(hosts, rank, timeout):
             listener.close()
         return _SocketCommunicator(0, size, peers=peers)
 
-    deadline = timeout
-    import time
-
     t0 = time.monotonic()
     last_err = None
-    while time.monotonic() - t0 < deadline:
+    while time.monotonic() - t0 < timeout:
         try:
             conn = socket.create_connection(hosts[0], timeout=2.0)
             break
@@ -605,7 +563,7 @@ def _init_socket(hosts, rank, timeout):
     else:
         raise CommInitError(f"cannot reach hub {hosts[0]}: {last_err}")
     conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    conn.settimeout(sock_timeout)
+    conn.settimeout(timeout)
     conn.sendall(_HELLO + struct.pack("<ii", rank, size))
     (status,) = struct.unpack("<B", _recv_exact(conn, 1))
     if status != 0:
@@ -619,11 +577,14 @@ def init(descriptor, timeout=30.0):
 
     ``inproc:<P>`` returns a list of P endpoints sharing one world (hand
     each to its own rank thread).  ``tcp:...,rank=<r>`` connects this
-    process's single endpoint and returns it.
+    process's single endpoint and returns it.  ``timeout`` (seconds) bounds
+    joining the world and every wait inside a collective on both backends;
+    a rank that waits longer raises :class:`RankAbortedError` (inproc) or
+    :class:`CommError` (tcp).
     """
     kind, arg, rank = _parse_descriptor(descriptor)
     if kind == "inproc":
-        world = _InProcWorld(arg)
+        world = _InProcWorld(arg, timeout)
         return [_InProcCommunicator(world, r) for r in range(arg)]
     return _init_socket(arg, rank, timeout)
 
@@ -633,13 +594,12 @@ def launch(descriptor, fn, *args, timeout=30.0):
 
     With the in-process backend this spawns one thread per rank and returns
     the list of all ranks' results.  With the socket backend it runs the
-    single local rank and returns a one-element list.
+    single local rank and returns a one-element list.  ``timeout`` is as
+    for :func:`init`.
     """
-    kind, _, _ = _parse_descriptor(descriptor)
-    if kind == "inproc":
-        comms = init(descriptor)
-        return _run_threads(comms, fn, args)
     comm = init(descriptor, timeout=timeout)
+    if isinstance(comm, list):
+        return _run_threads(comm, fn, args)
     try:
         return [fn(comm, *args)]
     finally:

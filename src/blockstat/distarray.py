@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comm import _CODE_DTYPES, _DTYPE_CODES, ReduceOp
+from .comm import _CODE_DTYPES, _DTYPE_CODES, _REDUCE_UFUNC, ReduceOp, _fold
 
 
 class DistributionError(ValueError):
@@ -309,21 +309,10 @@ def _check_global_broadcast(dest, shape):
 
 
 def _reduce_neutral(op, dtype):
-    if op is ReduceOp.SUM:
-        return dtype.type(0)
-    if op is ReduceOp.PROD:
-        return dtype.type(1)
+    """What an empty block contributes to a max/min fold."""
     big = np.inf if dtype.kind == "f" else np.iinfo(dtype).max
     small = -np.inf if dtype.kind == "f" else np.iinfo(dtype).min
     return dtype.type(small) if op is ReduceOp.MAX else dtype.type(big)
-
-
-_LOCAL_FOLD = {
-    ReduceOp.SUM: np.sum,
-    ReduceOp.PROD: np.prod,
-    ReduceOp.MAX: np.max,
-    ReduceOp.MIN: np.min,
-}
 
 
 def reduce_all(a, op=ReduceOp.SUM, transform=None):
@@ -333,10 +322,10 @@ def reduce_all(a, op=ReduceOp.SUM, transform=None):
         raise ValueError("max/min reduction over an empty array")
     local = a.local if transform is None else transform(a.local)
     local = np.asarray(local)
-    if local.size:
-        part = _LOCAL_FOLD[op](local)
+    if local.size or op in (ReduceOp.SUM, ReduceOp.PROD):  # empty: the ufunc's identity
+        part = _REDUCE_UFUNC[op].reduce(local, axis=None)
     else:
-        part = _reduce_neutral(op, np.asarray(local).dtype)
+        part = _reduce_neutral(op, local.dtype)
     buf = np.array([part])
     a.comm.allreduce(buf, op)
     return buf[0].item()
@@ -411,30 +400,16 @@ def scan(dest, a, axis=0, op="sum"):
     axis = axis + a.ndim if axis < 0 else axis
     if not 0 <= axis < a.ndim:
         raise ValueError(f"axis {axis} out of range")
-    cum = np.cumsum if op == "sum" else np.cumprod
+    ufunc = _REDUCE_UFUNC[ReduceOp[op.upper()]]
+    ufunc.accumulate(a.local, axis=axis, out=dest.local)
     if axis != a.ndim - 1:
-        cum(a.local, axis=axis, out=dest.local)
         return
-    cum(a.local, axis=axis, out=dest.local)
     rows = _rows(a.shape)
-    fold = np.sum if op == "sum" else np.prod
-    if a.ndim > 1:
-        totals = np.ravel(fold(a.local, axis=-1), order="F").astype(a.dtype, copy=False)
-    else:
-        totals = np.array([fold(a.local)], dtype=a.dtype)
+    totals = np.ravel(ufunc.reduce(a.local, axis=-1), order="F").astype(a.dtype, copy=False)
     gathered = np.empty(rows * a.comm.size, dtype=a.dtype)
     a.comm.allgatherv(totals, gathered, [rows] * a.comm.size)
     blocks = gathered.reshape((rows, a.comm.size), order="F")
     if a.comm.rank == 0:
         return
-    offset = blocks[:, 0].copy()
-    for r in range(1, a.comm.rank):
-        if op == "sum":
-            offset += blocks[:, r]
-        else:
-            offset *= blocks[:, r]
-    shaped = offset.reshape(a.shape[:-1] + (1,), order="F") if a.ndim > 1 else offset[0]
-    if op == "sum":
-        dest.local += shaped
-    else:
-        dest.local *= shaped
+    offset = _fold([blocks[:, r] for r in range(a.comm.rank)], ufunc)
+    ufunc(dest.local, offset.reshape(a.shape[:-1] + (1,), order="F"), out=dest.local)

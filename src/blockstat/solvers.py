@@ -154,8 +154,8 @@ def _multiplicative_step(factor, data, model, gram):
 
 
 def _apg_step(factor, data, model, gram):
-    """Projected gradient step of size ``1 / (2 ||gram||_F^2)``."""
-    step = 1.0 / (2.0 * float(np.sum(gram ** 2)) + _NMF_EPS)
+    """Projected step of size ``1 / (2 ||gram||_F)`` along ``model - data``."""
+    step = 1.0 / (2.0 * float(np.sqrt(np.sum(gram ** 2))) + _NMF_EPS)
     map_broadcast(factor, lambda f, mod, dat: np.maximum(0.0, f - step * (mod - dat)),
                   factor, model, data)
 
@@ -189,10 +189,14 @@ def nmf_multiplicative(state, iters):
 
 
 def nmf_apg(state, iters):
-    """Alternating projected gradient with Frobenius-norm step sizes.
+    """Alternating projected gradient; the objective is nonincreasing.
 
-    The trace is recorded as in :func:`nmf_multiplicative`; as there, ``X``
-    must not be modified after :func:`nmf_init`.
+    Each half-step moves a factor along half the gradient by
+    ``1 / (2 ||G||_F)``, G the other factor's r x r Gram matrix, which is
+    within the step ``1 / L`` (``L = 2 ||G||_2``) that cannot raise the
+    objective (Lin, 2007).  The trace is recorded as in
+    :func:`nmf_multiplicative`; as there, ``X`` must not be modified after
+    :func:`nmf_init`.
     """
     return _nmf_run(state, iters, _apg_step)
 

@@ -15,7 +15,7 @@ def free_port():
         return s.getsockname()[1]
 
 
-def run_socket(size, fn, *args):
+def run_socket(size, fn, *args, timeout=20.0):
     """Run fn(comm, *args) on `size` rank threads joined over local TCP sockets."""
     port = free_port()
     hosts = ",".join(f"127.0.0.1:{port}" for _ in range(size))
@@ -25,7 +25,7 @@ def run_socket(size, fn, *args):
 
     def work(rank):
         try:
-            comms[rank] = init(f"tcp:{hosts},rank={rank}", timeout=20.0)
+            comms[rank] = init(f"tcp:{hosts},rank={rank}", timeout=timeout)
             results[rank] = fn(comms[rank], *args)
         except BaseException as exc:  # noqa: BLE001
             errors[rank] = exc

@@ -3,6 +3,7 @@
 import hashlib
 import socket
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ from blockstat.comm import (
     CollectiveContractError,
     CommError,
     CommInitError,
+    RankAbortedError,
     ReduceOp,
     _SocketCommunicator,
     _send_frame,
     init,
+    launch,
     run_inproc,
 )
 from conftest import free_port, run_socket
@@ -163,6 +166,34 @@ def test_scatterv_uneven(world_runner):
     np.testing.assert_array_equal(out[1], [9.0])
 
 
+def test_scatterv_root_out_of_range_is_value_error(world_runner):
+    with pytest.raises(ValueError, match="root 5 out of range"):
+        world_runner(2, _scatter, [7.0, 8.0, 9.0], [2, 1], 5)
+
+
+def _late_allreduce(comm):
+    """Rank 1 arrives 3 s late; rank 0 reports what it raised and how long it waited."""
+    if comm.rank == 1:
+        time.sleep(3.0)
+    t0 = time.monotonic()
+    try:
+        comm.allreduce(np.zeros(1), ReduceOp.SUM)
+    except CommError as exc:
+        return type(exc), time.monotonic() - t0
+    return None, time.monotonic() - t0
+
+
+@pytest.mark.parametrize("backend,error", [("inproc", RankAbortedError), ("socket", CommError)])
+def test_timeout_bounds_every_collective_wait(backend, error):
+    if backend == "inproc":
+        results = launch("inproc:2", _late_allreduce, timeout=0.5)
+    else:
+        results = run_socket(2, _late_allreduce, timeout=0.5)
+    kind, waited = results[0]
+    assert kind is not None and issubclass(kind, error)
+    assert waited < 2.0
+
+
 def test_barrier_and_ordering(world_runner):
     def fn(comm):
         comm.barrier()
@@ -218,6 +249,41 @@ def test_counts_disagreement_raises(world_runner):
 
     with pytest.raises(CollectiveContractError):
         world_runner(2, fn)
+
+
+_COUNTS = (2, 3)
+# Each case calls one collective whose header differs on rank 1 in one field.
+_ONE_FIELD_OFF = {
+    "op": lambda c, odd: c.broadcast(np.zeros(2)) if odd else c.allreduce(np.zeros(2)),
+    "dtype": lambda c, odd: c.allreduce(np.zeros(2, np.float32 if odd else np.float64)),
+    "redop": lambda c, odd: c.allreduce(np.zeros(2), ReduceOp.MAX if odd else ReduceOp.SUM),
+    "broadcast-root": lambda c, odd: c.broadcast(np.zeros(2), root=int(odd)),
+    "broadcast-length": lambda c, odd: c.broadcast(np.zeros(2 + odd)),
+    "scatterv-root": lambda c, odd: c.scatterv(
+        np.zeros(5), np.zeros(_COUNTS[c.rank]), _COUNTS, root=int(odd)),
+    "scatterv-recv-length": lambda c, odd: c.scatterv(
+        np.zeros(5), np.zeros(_COUNTS[c.rank] + odd), _COUNTS),
+    "scatterv-send-length": lambda c, odd: c.scatterv(
+        np.zeros(5 + odd), np.zeros(_COUNTS[c.rank]), _COUNTS, root=1),
+    "allgatherv-send-length": lambda c, odd: c.allgatherv(
+        np.zeros(_COUNTS[c.rank] + odd), np.zeros(5), _COUNTS),
+    "allgatherv-recv-length": lambda c, odd: c.allgatherv(
+        np.zeros(_COUNTS[c.rank]), np.zeros(5 + odd), _COUNTS),
+    "allgatherv-counts": lambda c, odd: c.allgatherv(
+        np.zeros(_COUNTS[c.rank]), np.zeros(5), (1, 4) if odd else _COUNTS),
+}
+
+
+def _one_field_off(comm, case):
+    try:  # no abort(): every rank must find the mismatch itself
+        _ONE_FIELD_OFF[case](comm, comm.rank == 1)
+    except CommError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("case", list(_ONE_FIELD_OFF))
+def test_one_mismatched_header_field_raises_on_every_rank(world_runner, case):
+    assert world_runner(2, _one_field_off, case) == [CollectiveContractError] * 2
 
 
 def _random_collectives(comm, seed):
@@ -374,3 +440,51 @@ def test_leaf_rejects_reply_of_wrong_length(values):
         _send_frame(hub_end, b"\x00" + np.zeros(values).tobytes())
         with pytest.raises(CommError, match="hub reply"):
             leaf.allreduce(np.zeros(2))
+
+
+def _recv_all(sock, n):
+    out = b""
+    while len(out) < n:
+        chunk = sock.recv(n - len(out))
+        assert chunk, "the leaf closed its end"
+        out += chunk
+    return out
+
+
+def _golden(op, seq, dtype, redop, root, send_len, recv_len, counts=(), payload=b""):
+    """A leaf frame packed by hand: length, fixed header, counts, payload."""
+    body = (struct.pack(_HEADER_FMT, op, seq, dtype, redop, root, send_len, recv_len, len(counts))
+            + struct.pack(f"<{len(counts)}Q", *counts) + payload)
+    return struct.pack("<Q", len(body)) + body
+
+
+def test_leaf_frames_match_the_wire_format():
+    assert _HEADER_FMT == "<BQbbiqqQ"  # the frames below are packed with it
+    f32 = np.array([1.5, -2.0, 3.25], np.float32)
+    i64 = np.array([7, -8], np.int64)
+    f64 = np.arange(5.0)
+    cases = [  # (collective, hub's reply payload, the leaf's frame)
+        (lambda c: c.barrier(), None, _golden(0, 1, -1, -1, -1, -1, -1)),
+        (lambda c: c.broadcast(f64[:3].copy(), root=1), f64[:3],
+         _golden(1, 2, 1, -1, 1, -1, 3, payload=f64[:3].tobytes())),
+        (lambda c: c.broadcast(np.zeros(3), root=0), f64[:3], _golden(1, 3, 1, -1, 0, -1, 3)),
+        (lambda c: c.allreduce(f32.copy(), ReduceOp.MAX), f32,
+         _golden(2, 4, 0, 2, -1, -1, 3, payload=f32.tobytes())),
+        (lambda c: c.allreduce(i64.copy(), ReduceOp.MIN), i64,
+         _golden(2, 5, 2, 3, -1, -1, 2, payload=i64.tobytes())),
+        (lambda c: c.allgatherv(f64[2:], np.zeros(5), _COUNTS), f64,
+         _golden(3, 6, 1, -1, -1, 3, 5, _COUNTS, f64[2:].tobytes())),
+        (lambda c: c.scatterv(f64, np.zeros(3), _COUNTS, root=1), f64[2:],
+         _golden(4, 7, 1, -1, 1, 5, 3, _COUNTS, f64.tobytes())),
+        (lambda c: c.scatterv(None, np.zeros(3), _COUNTS, root=0), f64[2:],
+         _golden(4, 8, 1, -1, 0, -1, 3, _COUNTS)),
+    ]
+    hub_end, leaf_end = socket.socketpair()
+    with hub_end, leaf_end:
+        hub_end.settimeout(5.0)
+        leaf_end.settimeout(5.0)
+        leaf = _SocketCommunicator(1, 2, hub=leaf_end)
+        for call, reply, frame in cases:
+            _send_frame(hub_end, b"\x00", reply)  # queued before the leaf asks
+            call(leaf)
+            assert _recv_all(hub_end, len(frame)) == frame

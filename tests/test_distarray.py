@@ -382,6 +382,16 @@ def test_reduce_all_empty_block_is_neutral_for_infinities(op, value, p):
     assert run_inproc(p, fn) == [value] * p
 
 
+@pytest.mark.parametrize("op,want", [(ReduceOp.SUM, 2), (ReduceOp.PROD, 0)])
+def test_reduce_all_of_a_mask_with_an_empty_block(op, want):
+    # a bool transform folds to int64 on every rank, the one with no columns too
+    def fn(comm):
+        a = distribute(np.array([1.0, -2.0, 3.0]) if comm.rank == 0 else None, comm)
+        return reduce_all(a, op, transform=lambda x: x > 0)
+
+    assert run_inproc(4, fn) == [want] * 4
+
+
 def test_gather_widths_reconcatenate():
     def fn(comm):
         a = empty((3, 7), comm)

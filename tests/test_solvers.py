@@ -245,6 +245,21 @@ def test_nmf_apg_exact_factorization_is_fixed_point():
         assert trace == [0.0, 0.0, 0.0]
 
 
+def test_nmf_apg_ends_near_multiplicative():
+    def fn(comm, algorithm):
+        from blockstat.distarray import rand_fill
+
+        x = empty((200, 300), comm)
+        rand_fill(x, seed=3, common_init=True)
+        state = nmf_init(x, 5, seed=3)
+        algorithm(state, 50)
+        return state.trace[-1]
+
+    apg = run_inproc(1, fn, nmf_apg)[0]
+    multiplicative = run_inproc(1, fn, nmf_multiplicative)[0]
+    assert apg <= 1.05 * multiplicative
+
+
 def test_nmf_apg_step_sizes_positive_and_finite():
     def fn(comm):
         x = zeros((4, 4), comm)  # worst case: WWt becomes zero
