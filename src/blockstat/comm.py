@@ -23,7 +23,10 @@ disagreement raises :class:`CollectiveContractError` on every rank instead
 of corrupting data.
 
 Buffers are numpy arrays of float32, float64 or int64.  Collectives operate
-on the flattened (column-major) contents and write results back in place.
+on the flattened (column-major) contents and write each rank's result
+straight into the caller's buffer when it is F-contiguous (in place, as with
+MPI's ``MPI_IN_PLACE``); any other buffer gets the result through one flat
+copy.
 """
 
 from __future__ import annotations
@@ -112,7 +115,10 @@ def _flat(buf):
 
 
 def _writeback(buf, flat):
-    buf[...] = np.asarray(flat).reshape(buf.shape, order="F")
+    """Copy ``flat`` into ``buf`` unless it is a view of it: ``np.ravel`` gives a
+    view or a fresh array, so ``may_share_memory``'s bounds check is exact."""
+    if not np.may_share_memory(flat, buf):
+        buf[...] = flat.reshape(buf.shape, order="F")
 
 
 def _fold(parts, ufunc):
@@ -143,19 +149,34 @@ def _validate_headers(headers):
                 f"{field} mismatch: rank 0's call implies {a!r} for rank {r}, which has {b!r}")
 
 
-def _responses(h, payloads, size):
-    """Per-rank result payloads of a collective whose agreed header is ``h``."""
-    if h.op == _Op.BARRIER:
-        return [None] * size
+def _offsets(counts):
+    return np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+
+
+def _result_into(out, h, payloads, rank):
+    """Write ``rank``'s result of the collective agreed as ``h`` into ``out``.
+
+    ``out`` already holds ``rank``'s own allreduce or root broadcast payload.
+    An allreduce folds ranks 1..size-1 into rank 0's values in ascending
+    order.  An allgatherv places rank 0's part first, so rank 0's ``send``
+    is read before the rest of its ``recv`` is overwritten.
+    """
     if h.op == _Op.BROADCAST:
-        return [payloads[h.root]] * size
-    if h.op == _Op.ALLREDUCE:
-        return [_fold(payloads, _REDUCE_UFUNC[ReduceOp(h.redop)])] * size
-    if h.op == _Op.ALLGATHERV:
-        return [np.concatenate(payloads)] * size
-    send = payloads[h.root]  # scatterv
-    offs = np.concatenate([[0], np.cumsum(h.counts)]).astype(np.int64)
-    return [send[offs[r]:offs[r + 1]] for r in range(size)]
+        if rank != h.root:
+            out[...] = payloads[h.root]
+    elif h.op == _Op.ALLREDUCE:
+        if rank != 0:
+            out[...] = payloads[0]
+        ufunc = _REDUCE_UFUNC[ReduceOp(h.redop)]
+        for part in payloads[1:]:
+            ufunc(out, part, out=out)
+    elif h.op == _Op.ALLGATHERV:
+        offs = _offsets(h.counts)
+        for r, part in enumerate(payloads):
+            out[offs[r]:offs[r + 1]] = part
+    elif h.op == _Op.SCATTERV:
+        offs = _offsets(h.counts)
+        out[...] = payloads[h.root][offs[rank]:offs[rank + 1]]
 
 
 class Communicator:
@@ -165,6 +186,12 @@ class Communicator:
     ranks must invoke the same sequence of collectives.  Both backends check
     that every rank's header equals the one rank 0's call implies for that
     rank, and raise CollectiveContractError on every rank where one differs.
+
+    Each collective writes this rank's result straight into the caller's
+    buffer (``recv`` for allgatherv and scatterv), or into a flat copy that
+    is written back when the buffer is not F-contiguous.  An allgatherv's
+    ``send`` may be a view of ``recv`` at this rank's own offset.  The public
+    collectives do not call one another, so each can be wrapped on its own.
     """
 
     rank: int
@@ -188,16 +215,16 @@ class Communicator:
         flat = _flat(buf)
         header = _Header(_Op.BROADCAST, dtype=_DTYPE_CODES[flat.dtype], root=root,
                          recv_len=flat.size, seq=self._next_seq())
-        out = self._transact(header, flat if self.rank == root else None)
-        _writeback(buf, out)
+        self._transact(header, flat if self.rank == root else None, flat)
+        _writeback(buf, flat)
 
     def allreduce(self, buf, op=ReduceOp.SUM):
         """Elementwise fold of all ranks' ``buf``, in place, ascending rank order."""
         flat = _flat(buf)
         header = _Header(_Op.ALLREDUCE, dtype=_DTYPE_CODES[flat.dtype], redop=op.value,
                          recv_len=flat.size, seq=self._next_seq())
-        out = self._transact(header, flat)
-        _writeback(buf, out)
+        self._transact(header, flat, flat)
+        _writeback(buf, flat)
 
     def allgatherv(self, send, recv, counts):
         """Concatenate per-rank ``send`` buffers into ``recv`` on every rank."""
@@ -208,8 +235,8 @@ class Communicator:
         rflat = _flat(recv)
         header = _Header(_Op.ALLGATHERV, dtype=_DTYPE_CODES[sflat.dtype], send_len=sflat.size,
                          recv_len=rflat.size, counts=counts, seq=self._next_seq())
-        out = self._transact(header, sflat)
-        _writeback(recv, out)
+        self._transact(header, sflat, rflat)
+        _writeback(recv, rflat)
 
     def scatterv(self, send, recv, counts, root=0):
         """Slice root's ``send`` into per-rank chunks of sizes ``counts``."""
@@ -223,16 +250,18 @@ class Communicator:
         header = _Header(_Op.SCATTERV, dtype=_DTYPE_CODES[rflat.dtype], root=root,
                          send_len=-1 if sflat is None else sflat.size, recv_len=rflat.size,
                          counts=counts, seq=self._next_seq())
-        out = self._transact(header, sflat)
-        _writeback(recv, out)
+        self._transact(header, sflat, rflat)
+        _writeback(recv, rflat)
 
     def barrier(self):
         """Block until every rank has entered."""
-        self._transact(_Header(_Op.BARRIER, seq=self._next_seq()), None)
+        self._transact(_Header(_Op.BARRIER, seq=self._next_seq()), None, None)
 
     # -- backend hooks ------------------------------------------------------
 
-    def _transact(self, header, payload):
+    def _transact(self, header, payload, out):
+        """Run one collective: send ``payload`` (this rank's flat contribution,
+        or None) and write this rank's result into the flat buffer ``out``."""
         raise NotImplementedError
 
     def close(self):
@@ -320,7 +349,8 @@ class _InProcCommunicator(Communicator):
         self.rank = rank
         self.size = world.size
 
-    def _transact(self, header, payload):
+    def _transact(self, header, payload, out):
+        # A copy: this rank may return and reuse its buffer while others read it.
         deposit = None if payload is None else np.array(payload, copy=True)
         slots = self._world.exchange(self.rank, header.seq, (header, deposit))
         if any(entry is None for entry in slots):
@@ -329,7 +359,7 @@ class _InProcCommunicator(Communicator):
             )
         headers, payloads = zip(*slots)
         _validate_headers(headers)
-        return _responses(headers[0], payloads, self.size)[self.rank]
+        _result_into(out, headers[0], payloads, self.rank)
 
     def abort(self):
         self._world.abort()
@@ -431,13 +461,16 @@ class _SocketCommunicator(Communicator):
         self.size = size
         self._peers = peers  # rank 0: socket per rank 1..size-1
         self._hub = hub      # other ranks: connection to rank 0
+        self._rejected = False  # rank 0 closed the world after a rejected frame
 
-    def _transact(self, header, payload):
+    def _transact(self, header, payload, out):
         if self.rank == 0:
-            return self._transact_hub(header, payload)
-        return self._transact_leaf(header, payload)
+            return self._transact_hub(header, payload, out)
+        return self._transact_leaf(header, payload, out)
 
-    def _transact_hub(self, header, payload):
+    def _transact_hub(self, header, payload, out):
+        if self._rejected:
+            raise CommError("world closed after a rejected frame")
         headers = [header]
         payloads = [payload]
         # No rank sends more than counts and the largest buffer in rank 0's own
@@ -454,26 +487,43 @@ class _SocketCommunicator(Communicator):
                 payloads.append(raw)
             _validate_headers(headers)
         except CollectiveContractError as exc:
-            for r in range(1, self.size):
-                _send_frame(self._peers[r], b"\x01" + str(exc).encode())
+            try:
+                for r in range(1, self.size):
+                    _send_frame(self._peers[r], b"\x01" + str(exc).encode())
+            finally:
+                if len(headers) < self.size:
+                    self._close_world()
             raise
-        outs = _responses(header, payloads, self.size)
-        for r in range(1, self.size):
-            _send_frame(self._peers[r], b"\x00", outs[r])
-        return outs[0]
+        except CommError:
+            self._close_world()
+            raise
+        _result_into(out, header, payloads, 0)
+        if header.op == _Op.SCATTERV:
+            send, offs = payloads[header.root], _offsets(header.counts)
+            for r in range(1, self.size):
+                _send_frame(self._peers[r], b"\x00", send[offs[r]:offs[r + 1]])
+        else:
+            for r in range(1, self.size):
+                _send_frame(self._peers[r], b"\x00", out)
 
-    def _transact_leaf(self, header, payload):
+    def _close_world(self):
+        """Close every leaf's socket after a frame was left unread, whose rest
+        the next collective would otherwise read as a frame."""
+        self._rejected = True
+        self.close()
+
+    def _transact_leaf(self, header, payload, out):
         _send_frame(self._hub, _pack_header(header), payload)
         n, status = struct.unpack("<QB", _recv_exact(self._hub, 9))
         if status != 0:
             if not 0 <= n - 1 <= _ERROR_REPLY_MAX:
                 raise CommError(f"hub error reply of {n - 1} bytes, over {_ERROR_REPLY_MAX}")
             raise CollectiveContractError(_recv_exact(self._hub, n - 1).decode())
-        out = np.empty(max(header.recv_len, 0), _wire_dtype(header))
-        if n - 1 != out.nbytes:
-            raise CommError(f"hub reply holds {n - 1} payload bytes, expected {out.nbytes}")
-        _recv_into(self._hub, out)
-        return out
+        nbytes = 0 if out is None else out.nbytes
+        if n - 1 != nbytes:
+            raise CommError(f"hub reply holds {n - 1} payload bytes, expected {nbytes}")
+        if out is not None:
+            _recv_into(self._hub, out)
 
     def close(self):
         if self._hub is not None:

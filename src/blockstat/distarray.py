@@ -197,10 +197,8 @@ def rand_fill(a, seed=None, common_init=False, dist="uniform01"):
             vals = _draw(_generator(seed), rows * a.shape[-1], dist, a.dtype)
         else:
             vals = None
-        recv = np.empty(a.local.size, dtype=a.dtype)
         counts = [rows * w for w in a.partition.counts()]
-        comm.scatterv(vals, recv, counts)
-        a.local[...] = recv.reshape(a.local.shape, order="F")
+        comm.scatterv(vals, a.local, counts)
     else:
         gen = _generator(None if seed is None else seed + comm.rank)
         vals = _draw(gen, a.local.size, dist, a.dtype)
@@ -242,9 +240,7 @@ def distribute(data, comm):
     rows = _rows(shape)
     counts = [rows * w for w in out.partition.counts()]
     send = np.ravel(data, order="F") if comm.rank == 0 else None
-    recv = np.empty(out.local.size, dtype=dtype)
-    comm.scatterv(send, recv, counts)
-    out.local[...] = recv.reshape(out.local.shape, order="F")
+    comm.scatterv(send, out.local, counts)  # F-contiguous, so filled in place
     return out
 
 

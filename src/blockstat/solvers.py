@@ -325,10 +325,12 @@ class CoxState:
     beta: DistArray        # length-n distributed coefficients
     lam: float
     sigma: float
-    Xbeta: np.ndarray      # (m,) replicated
+    reduced: np.ndarray    # (m + 1,) replicated X beta, then ||beta||_1: one allreduce
+    Xbeta: np.ndarray      # (m,) view of reduced[:m]
     w: np.ndarray          # (m,) replicated risk weights exp(X beta)
     W: np.ndarray          # (m,) replicated cumulative risk sums
     pd: np.ndarray         # (m,) replicated P delta
+    work: np.ndarray       # (m,) scratch for the log-likelihood terms and the P delta sums
     grad: DistArray        # length-n distributed gradient
     cuts: np.ndarray       # (m,) last index of each tied block (arange if no ties)
     starts: np.ndarray     # (m,) first index of each tied block (arange if no ties)
@@ -360,14 +362,17 @@ def cox_init(x, y, delta, lam, sigma=None, ties="none"):
         sigma = 1.0 / (2.0 * norm2 * norm2)
     if sigma <= 0:
         raise ValueError("step size must be positive")
+    reduced = np.empty(m + 1, dtype=x.dtype)
     return CoxState(
         X=x, delta=delta,
         beta=zeros((n,), x.comm, x.dtype),
         lam=float(lam), sigma=float(sigma),
-        Xbeta=np.empty(m, dtype=x.dtype),
+        reduced=reduced,
+        Xbeta=reduced[:m],
         w=np.empty(m, dtype=x.dtype),
         W=np.empty(m, dtype=x.dtype),
         pd=np.empty(m, dtype=x.dtype),
+        work=np.empty(m, dtype=x.dtype),
         grad=empty((n,), x.comm, x.dtype),
         cuts=cuts,
         starts=np.searchsorted(cuts, np.arange(m), side="left"),
@@ -379,16 +384,22 @@ _EXP_CLAMP = {np.dtype(np.float64): 700.0, np.dtype(np.float32): 85.0}
 
 
 def _risk_weights(state):
-    """w = exp(X beta) (overflow-clamped) and its cumulative sums W."""
+    """w = exp(X beta) (overflow-clamped) and its cumulative sums W.
+
+    One pass finds the largest entry of X beta: NaN raises, and above the
+    clamp warns and clamps, after which every weight is finite.
+    """
     s = state
     clamp = _EXP_CLAMP[np.dtype(s.Xbeta.dtype)]
-    if np.any(s.Xbeta > clamp):
+    top = s.Xbeta.max(initial=-np.inf)
+    if np.isnan(top):
+        raise NumericError("nonfinite risk weights; rescale X or lower sigma")
+    if top > clamp:
         warnings.warn("linear predictor clamped before exponentiation", RuntimeWarning)
-        np.exp(np.minimum(s.Xbeta, clamp), out=s.w)
+        np.minimum(s.Xbeta, clamp, out=s.w)
+        np.exp(s.w, out=s.w)
     else:
         np.exp(s.Xbeta, out=s.w)
-    if not np.all(np.isfinite(s.w)):
-        raise NumericError("nonfinite risk weights; rescale X or lower sigma")
     np.cumsum(s.w, out=s.W)
 
 
@@ -399,7 +410,11 @@ def _risk_sums(s):
 
 def _cox_loglik(s, Wc):
     """Log partial likelihood from ``Xbeta`` and the risk sums ``Wc = W[cuts]``."""
-    return float(np.sum(s.delta * (s.Xbeta - np.log(Wc))))
+    t = s.work
+    np.log(Wc, out=t)
+    np.subtract(s.Xbeta, t, out=t)
+    np.multiply(s.delta, t, out=t)
+    return float(np.sum(t))
 
 
 def cox_partial_loglik(state):
@@ -438,24 +453,33 @@ def cox_fit(state, iters, monitor=None, trace_every=1):
     Each iteration records the penalized objective at the current iterate
     (so the first trace entry belongs to the initial coefficients), checks
     the optional convergence monitor, then takes one soft-thresholded step.
-    Every rank forms ``pd[i] = w[i] * sum_{j >= starts[i]} delta[j] / W[cuts[j]]``
-    from its replicated copies (bitwise equal to :func:`pi_delta` at p = 1).
+    It makes one collective, an allreduce of ``reduced``: this rank's partial
+    ``X beta`` and, in the last slot, its partial ``||beta||_1``, folded in
+    the rank order :func:`matmul` and ``reduce_all`` use.  Every rank then forms
+    ``pd[i] = w[i] * sum_{j >= starts[i]} delta[j] / W[cuts[j]]`` from its
+    replicated copies (bitwise equal to :func:`pi_delta` at p = 1), writing
+    every m-length intermediate into the state's preallocated vectors.
     """
     s = state
     sigma, lam = s.sigma, s.lam
+    t = s.work
     for it in range(iters):
-        matmul(s.Xbeta, s.X, s.beta)
+        np.matmul(s.X.local, s.beta.local, out=s.Xbeta)
+        s.reduced[-1] = np.add.reduce(np.abs(s.beta.local))
+        s.X.comm.allreduce(s.reduced, ReduceOp.SUM)
         _risk_weights(s)
         Wc = _risk_sums(s)
         if trace_every and it % trace_every == 0:
-            obj = -_cox_loglik(s, Wc) + lam * reduce_all(s.beta, transform=np.abs)
+            obj = -_cox_loglik(s, Wc) + lam * s.reduced[-1].item()
             s.trace.append(obj)
             if monitor is not None and converged(monitor, obj):
                 break
-        suffix = np.cumsum((s.delta / Wc)[::-1])[::-1]
-        np.multiply(suffix[s.starts] if s.tied else suffix, s.w, out=s.pd)
-        dmpd = s.delta - s.pd
-        matmul(s.grad, transpose(s.X), dmpd)
+        np.divide(s.delta, Wc, out=t)
+        r = t[::-1]
+        np.cumsum(r, out=r)  # t[i] = sum_{j >= i} delta[j] / Wc[j], added from j = m - 1 down
+        np.multiply(t[s.starts] if s.tied else t, s.w, out=s.pd)
+        np.subtract(s.delta, s.pd, out=t)
+        matmul(s.grad, transpose(s.X), t)
         map_broadcast(s.beta, lambda b, g: soft_threshold(b + sigma * g, lam),
                       s.beta, s.grad)
     return s

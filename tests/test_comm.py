@@ -4,6 +4,7 @@ import hashlib
 import socket
 import struct
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -353,6 +354,118 @@ def test_repeated_runs_deterministic(world_runner):
     for got, want in zip(one, two):
         for x, y in zip(got, want):
             np.testing.assert_array_equal(x, y)
+
+
+# Buffer layouts a collective must deliver into: each maps a flat vector to a
+# buffer whose column-major contents are that vector.
+_LAYOUTS = {
+    "contiguous": lambda v: v.copy(),
+    "fortran-2d": lambda v: np.asfortranarray(v.reshape((2, -1), order="F")),
+    "c-order-2d": lambda v: np.ascontiguousarray(v.reshape((2, -1), order="F")),
+    "strided": lambda v: np.repeat(v, 2)[::2],  # a view of every other element
+}
+
+
+def _values(rank, n, salt):
+    return np.random.Generator(np.random.Philox(1000 * salt + rank)).standard_normal(n)
+
+
+def _flat_bytes(buf):
+    return np.ravel(buf, order="F").tobytes()
+
+
+def _every_collective(comm, layout):
+    """Each collective into a ``layout`` buffer; the flat bytes of every result."""
+    place, size, rank = _LAYOUTS[layout], comm.size, comm.rank
+    counts = [2 * (r + 1) for r in range(size)]
+    offs = np.concatenate([[0], np.cumsum(counts)])
+    out = {}
+    buf = place(_values(rank, 6, 1))
+    comm.broadcast(buf, root=size - 1)
+    out["broadcast"] = _flat_bytes(buf)
+    buf = place(_values(rank, 6, 2))
+    comm.allreduce(buf, ReduceOp.SUM)
+    out["allreduce"] = _flat_bytes(buf)
+    recv = place(np.zeros(offs[-1]))
+    comm.allgatherv(_values(rank, counts[rank], 3), recv, counts)
+    out["allgatherv"] = _flat_bytes(recv)
+    recv = place(np.zeros(counts[rank]))
+    comm.scatterv(_values(0, offs[-1], 4) if rank == 0 else None, recv, counts)
+    out["scatterv"] = _flat_bytes(recv)
+    if recv.ndim == 1:  # in place: send is this rank's own part of recv
+        recv = place(np.zeros(offs[-1]))
+        send = recv[offs[rank]:offs[rank + 1]]
+        send[...] = _values(rank, counts[rank], 3)
+        comm.allgatherv(send, recv, counts)
+        out["allgatherv-in-place"] = _flat_bytes(recv)
+    return out
+
+
+def _every_collective_reference(size):
+    counts = [2 * (r + 1) for r in range(size)]
+    total = _values(0, 6, 2).copy()
+    for r in range(1, size):
+        total += _values(r, 6, 2)  # ascending rank order
+    gathered = np.concatenate([_values(r, c, 3) for r, c in enumerate(counts)])
+    scattered = np.split(_values(0, sum(counts), 4), np.cumsum(counts)[:-1])
+    return [{"broadcast": _values(size - 1, 6, 1).tobytes(), "allreduce": total.tobytes(),
+             "allgatherv": gathered.tobytes(), "scatterv": scattered[r].tobytes(),
+             "allgatherv-in-place": gathered.tobytes()} for r in range(size)]
+
+
+@pytest.mark.parametrize("layout", list(_LAYOUTS))
+def test_collectives_deliver_into_every_buffer_layout(world_runner, layout):
+    for size in (1, 2, 3):
+        for got, want in zip(world_runner(size, _every_collective, layout),
+                             _every_collective_reference(size)):
+            assert got == {op: want[op] for op in got}, (size, layout)
+            assert len(got) == (5 if layout in ("contiguous", "strided") else 4)
+
+
+_MB8 = 1 << 20  # float64 values in an 8 MB payload
+
+
+@pytest.mark.parametrize("backend,size,payloads", [
+    ("socket", 2, 1), ("socket", 3, 2),  # the hub's receive buffer per leaf
+    ("inproc", 2, 2), ("inproc", 3, 3),  # the deposited copy per rank
+])
+def test_allreduce_allocates_no_result_copies(backend, size, payloads):
+    bufs = [np.full(_MB8, float(r + 1)) for r in range(size)]
+    runner = run_inproc if backend == "inproc" else run_socket
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        runner(size, lambda comm: comm.allreduce(bufs[comm.rank], ReduceOp.SUM))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= payloads * 8 * _MB8 + (1 << 20), (peak - base) / (8 * _MB8)
+    want = float(size * (size + 1) // 2)
+    assert all(buf[0] == buf[-1] == want for buf in bufs)
+
+
+def _follow_up_after_a_rejected_frame(comm):
+    """Rank 1 allreduces 2^20 values against 1; then every rank tries two more
+    collectives and reports what it raised, how fast, and with what message."""
+    try:
+        comm.allreduce(np.zeros(_MB8 if comm.rank == 1 else 1), ReduceOp.SUM)
+    except CommError:
+        pass
+    t0 = time.monotonic()
+    try:
+        comm.allreduce(np.zeros(2), ReduceOp.SUM)
+        comm.barrier()
+    except CommError as exc:
+        return type(exc), time.monotonic() - t0, str(exc)
+    return None, time.monotonic() - t0, ""
+
+
+def test_world_closes_after_a_rejected_frame():
+    results = run_socket(3, _follow_up_after_a_rejected_frame)  # 20 s socket timeout
+    for kind, waited, _ in results:
+        assert kind is not None and issubclass(kind, CommError)
+        assert waited < 2.0
+    assert results[0][2] == "world closed after a rejected frame"
 
 
 def _allreduce_frame(op=2, dtype=1, ncounts=0, payload=np.zeros(2).tobytes()):
