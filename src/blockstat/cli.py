@@ -8,9 +8,12 @@ Subcommands
 ``cox``    L1-regularized proportional-hazards fit
 ``bench``  run one matmul scenario or a scan against its dense oracle
 
-Every command runs on all ranks of the configured backend; only rank 0
-touches the filesystem.  The backend comes from ``--backend`` unless the
-environment variable ``DISTSTAT_BACKEND`` is set, which overrides the flag.
+Every command runs on all ranks of the configured backend.  Every rank opens
+a matrix file itself and reads or writes only its own byte range, so ranks on
+different hosts need the same path on a shared file system; rank 0 alone
+checks or writes the header and writes the trace.  The backend comes from
+``--backend`` unless the environment variable ``DISTSTAT_BACKEND`` is set,
+which overrides the flag.
 
 Matrix files are binary: magic ``DSTA``, one dtype byte (0=f32, 1=f64,
 2=i64), the number of dimensions as a little-endian u64, one u64 extent per
@@ -56,23 +59,63 @@ class FormatError(ValueError):
     """Matrix file violates the on-disk format."""
 
 
+def _header(dtype, shape):
+    """The bytes before the payload of a file holding ``shape`` scalars of ``dtype``."""
+    return (_MAGIC + struct.pack("<BQ", _DTYPE_CODES[dtype], len(shape))
+            + struct.pack(f"<{len(shape)}Q", *shape))
+
+
+def _block_io(path, a, header_len, write):
+    """Write or read this rank's block of ``a`` at its byte range of the payload.
+
+    The payload is column-major and ``a`` is split along its last dimension,
+    so the block is one contiguous range starting ``rows * lo`` scalars in.
+    """
+    view = memoryview(a.local.reshape(-1, order="F")).cast("B")  # a view if F-contiguous
+    offset = header_len + math.prod(a.shape[:-1]) * a.lo * a.dtype.itemsize
+    fd = os.open(path, os.O_WRONLY if write else os.O_RDONLY)
+    try:
+        while view:
+            n = os.pwrite(fd, view, offset) if write else os.preadv(fd, [view], offset)
+            if n == 0:
+                raise FormatError(f"payload ends {len(view)} bytes early")
+            view, offset = view[n:], offset + n
+    finally:
+        os.close(fd)
+
+
 def write_matrix(path, array):
-    """Write a distributed (or plain) array; rank 0 performs the I/O."""
-    if isinstance(array, DistArray):
-        data = gather_full(array)
-        comm = array.comm
-    else:
+    """Write a distributed array; a plain array is written as a one-rank world's.
+
+    Rank 0 writes the header and sizes the file, then every rank writes its
+    own block at its own byte range, so no rank holds another rank's block.
+    A failure on any rank raises OSError on every rank.
+    """
+    if not isinstance(array, DistArray):
         data = np.asarray(array)
-        comm = None
-    if comm is None or comm.rank == 0:
-        if data.dtype not in _DTYPE_CODES:
-            raise FormatError(f"unsupported dtype {data.dtype}")
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<B", _DTYPE_CODES[data.dtype]))
-            fh.write(struct.pack("<Q", data.ndim))
-            fh.write(struct.pack(f"<{data.ndim}Q", *data.shape))
-            fh.write(np.ravel(data, order="F").astype(data.dtype).tobytes())
+        array = DistArray(_comm.init("inproc:1")[0], data.shape, data.dtype, local=data)
+    if array.dtype not in _DTYPE_CODES:
+        raise FormatError(f"unsupported dtype {array.dtype}")
+    comm = array.comm
+    head = _header(array.dtype, array.shape)
+    status = np.zeros(1, dtype=np.int64)
+    message = ""
+    if comm.rank == 0:
+        try:
+            with open(path, "wb") as fh:
+                fh.write(head)
+                fh.truncate(len(head) + math.prod(array.shape) * array.dtype.itemsize)
+        except OSError as exc:
+            status[0], message = 1, str(exc)
+    comm.broadcast(status)
+    if not status[0]:
+        try:
+            _block_io(path, array, len(head), write=True)
+        except (OSError, FormatError) as exc:
+            status[0], message = 1, str(exc)
+    comm.allreduce(status, _comm.ReduceOp.MAX)  # a failure on any rank raises on every rank
+    if status[0]:
+        raise OSError(message or f"another rank failed to write {path}")
 
 
 def _read_header(fh):
@@ -94,9 +137,13 @@ def _read_header(fh):
 
 
 def read_matrix(path, comm, dtype=None):
-    """Read a matrix file on rank 0 and distribute it. No implicit casts."""
-    status = np.zeros(1, dtype=np.int64)
-    data = None
+    """Read a matrix file into a DistArray. No implicit casts.
+
+    Rank 0 checks the header and the payload size and broadcasts the status,
+    dtype code and shape; every rank then reads its own block straight into
+    its ``local``.  A failure on any rank raises FormatError on every rank.
+    """
+    head = np.zeros(3 + _MAX_NDIM, dtype=np.int64)  # status, dtype code, ndim, extents
     message = ""
     if comm.rank == 0:
         try:
@@ -108,14 +155,25 @@ def read_matrix(path, comm, dtype=None):
                 have = os.fstat(fh.fileno()).st_size - fh.tell()
                 if have != want:
                     raise FormatError(f"payload is {have} bytes, expected {want}")
-                data = np.frombuffer(fh.read(), dtype=stored).reshape(shape, order="F")
+                if math.prod(e for e in shape if e) * stored.itemsize > np.iinfo(np.intp).max:
+                    raise FormatError(f"extents {shape} exceed numpy's array size limit")
+            head[1:3 + len(shape)] = (_DTYPE_CODES[stored], len(shape), *shape)
         except (OSError, FormatError) as exc:
-            status[0] = 1
-            message = str(exc)
-    comm.broadcast(status)
-    if status[0]:
+            head[0], message = 1, str(exc)
+    comm.broadcast(head)
+    if head[0]:
         raise FormatError(message or "rank 0 failed to read the matrix file")
-    return distribute(data, comm)
+    ndim = int(head[2])
+    out = DistArray(comm, head[3:3 + ndim], _CODE_DTYPES[int(head[1])])
+    status = np.zeros(1, dtype=np.int64)
+    try:
+        _block_io(path, out, len(_header(out.dtype, out.shape)), write=False)
+    except (OSError, FormatError) as exc:
+        status[0], message = 1, str(exc)
+    comm.allreduce(status, _comm.ReduceOp.MAX)  # a failure on any rank raises on every rank
+    if status[0]:
+        raise FormatError(message or "another rank failed to read its block")
+    return out
 
 
 def _write_trace(path, rows):

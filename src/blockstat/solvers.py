@@ -335,6 +335,7 @@ class CoxState:
     cuts: np.ndarray       # (m,) last index of each tied block (arange if no ties)
     starts: np.ndarray     # (m,) first index of each tied block (arange if no ties)
     tied: bool             # some observed times tie, so cuts and starts are not arange
+    ties_buf: np.ndarray   # (m,) W[cuts], then t[starts], if tied; None otherwise
     trace: list = field(default_factory=list)
 
 
@@ -377,6 +378,7 @@ def cox_init(x, y, delta, lam, sigma=None, ties="none"):
         cuts=cuts,
         starts=np.searchsorted(cuts, np.arange(m), side="left"),
         tied=tied,
+        ties_buf=np.empty(m, dtype=x.dtype) if tied else None,
     )
 
 
@@ -405,7 +407,8 @@ def _risk_weights(state):
 
 def _risk_sums(s):
     """``W[cuts]``, the risk sum of each sample's tied block; ``W`` itself without ties."""
-    return s.W[s.cuts] if s.tied else s.W
+    # mode="clip" because the default "raise" stages ``out`` in a temporary
+    return np.take(s.W, s.cuts, out=s.ties_buf, mode="clip") if s.tied else s.W
 
 
 def _cox_loglik(s, Wc):
@@ -477,7 +480,9 @@ def cox_fit(state, iters, monitor=None, trace_every=1):
         np.divide(s.delta, Wc, out=t)
         r = t[::-1]
         np.cumsum(r, out=r)  # t[i] = sum_{j >= i} delta[j] / Wc[j], added from j = m - 1 down
-        np.multiply(t[s.starts] if s.tied else t, s.w, out=s.pd)
+        # with ties, Wc (held in ties_buf) is spent, so the buffer takes t[starts]
+        block = np.take(t, s.starts, out=s.ties_buf, mode="clip") if s.tied else t
+        np.multiply(block, s.w, out=s.pd)
         np.subtract(s.delta, s.pd, out=t)
         matmul(s.grad, transpose(s.X), t)
         map_broadcast(s.beta, lambda b, g: soft_threshold(b + sigma * g, lam),

@@ -8,6 +8,10 @@ from .distarray import DistArray, TransposedView, distribute, empty, gather_full
 from .distlinalg import SCENARIOS, tmp_shape  # noqa: F401  (tmp_shape is re-exported)
 
 
+class _VectorView(TransposedView):
+    """A distributed vector realized as the transpose of a ``1 x n`` row."""
+
+
 def _dist(dense, comm):
     return distribute(np.asarray(dense) if comm.rank == 0 else None, comm)
 
@@ -22,7 +26,7 @@ def _build(kind, dense, comm, dvec_as_view):
         return dense.copy()
     if kind == "dvec":
         if dvec_as_view:
-            return TransposedView(_dist(dense.reshape(1, -1), comm))
+            return _VectorView(_dist(dense.reshape(1, -1), comm))
         return _dist(dense, comm)
     raise ValueError(f"unknown operand kind {kind!r}")
 
@@ -38,7 +42,7 @@ def _fresh_output(kind, shape, dtype, comm, dvec_as_view):
         return np.empty(shape[0], dtype=dtype)
     if kind == "dvec":
         if dvec_as_view:
-            return TransposedView(empty((1, shape[0]), comm, dtype))
+            return _VectorView(empty((1, shape[0]), comm, dtype))
         return empty((shape[0],), comm, dtype)
     raise ValueError(f"unknown output kind {kind!r}")
 
@@ -62,10 +66,14 @@ def scenario_operands(row, a_dense, b_dense, comm, dvec_as_view=False):
 
 
 def materialize(x):
-    """Dense replicated copy of any operand kind."""
+    """Dense replicated copy of any operand kind, in the operand's own shape.
+
+    A vector that ``dvec_as_view=True`` realized as a transposed row comes
+    back 1-D; any other transposed view, (p, 1) included, keeps its 2-D shape.
+    """
+    if isinstance(x, _VectorView):
+        return gather_full(x.parent)[0]
     if isinstance(x, TransposedView):
-        if x.parent.shape[0] == 1:  # distributed vector as a transposed row
-            return gather_full(x.parent)[0]
         return gather_full(x.parent).T
     if isinstance(x, DistArray):
         return gather_full(x)

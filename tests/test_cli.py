@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,6 +85,115 @@ def test_matrix_dtype_mismatch_no_cast(tmp_path):
 
     with pytest.raises(FormatError):
         run_inproc(1, fn)
+
+
+def _dsta(code, *extents):
+    return b"DSTA" + struct.pack(f"<BQ{len(extents)}Q", code, len(extents), *extents)
+
+
+_BAD_FILES = {
+    "bad-magic": b"NOPE" + b"\x00" * 32,
+    "truncated-header": _dsta(1, 2, 3)[:-8],
+    "too-many-dimensions": b"DSTA" + struct.pack("<BQ", 1, 2 ** 59),
+    "dtype-mismatch": _dsta(0, 2, 2) + b"\x00" * 16,  # f32 file, f64 run
+    "wrong-payload-size": _dsta(1, 2, 2) + b"\x00" * 8,
+    "int64-wrapping-extents": _dsta(1, 2 ** 32, 2 ** 32),
+    "empty-but-beyond-numpy": _dsta(1, 0, 2 ** 62),  # no payload, yet no numpy array fits
+}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("case", sorted(_BAD_FILES))
+def test_bad_matrix_file_raises_on_every_rank(tmp_path, world_runner, case, p):
+    path = tmp_path / "bad.dsta"
+    path.write_bytes(_BAD_FILES[case])
+
+    def fn(comm):
+        with pytest.raises(FormatError):
+            read_matrix(path, comm, dtype=np.float64)
+        return comm.rank
+
+    assert world_runner(p, fn) == list(range(p))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_matrix_truncated_after_the_size_check_raises_on_every_rank(tmp_path, world_runner, p):
+    path = tmp_path / "x.dsta"
+    write_matrix(path, np.arange(12.0).reshape(3, 4))
+
+    def fn(comm):
+        if comm.rank == 0:  # cut the last byte between rank 0's checks and the block reads
+            broadcast = comm.broadcast
+
+            def truncate_then_broadcast(buf, root=0):
+                os.truncate(path, os.path.getsize(path) - 1)
+                broadcast(buf, root)
+
+            comm.broadcast = truncate_then_broadcast
+        with pytest.raises(FormatError):
+            read_matrix(path, comm)
+        return comm.rank
+
+    assert world_runner(p, fn) == list(range(p))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_failed_write_raises_on_every_rank(tmp_path, p):
+    path = tmp_path / "missing-dir" / "x.dsta"
+
+    def fn(comm):
+        with pytest.raises(OSError):
+            write_matrix(path, distribute(np.ones((2, 5)) if comm.rank == 0 else None, comm))
+        return comm.rank
+
+    assert run_inproc(p, fn) == list(range(p))
+
+
+def test_matrix_io_allocates_only_the_blocks(tmp_path):
+    data = rng(9).random((400, 300))
+    path = tmp_path / "x.dsta"
+    write_matrix(path, data)
+
+    def read_then_write(comm):
+        a = read_matrix(path, comm)
+        write_matrix(tmp_path / "copy.dsta", a)
+        return a.local
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        blocks = run_inproc(2, read_then_write)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 1.25 * data.nbytes, (peak - base) / data.nbytes
+    np.testing.assert_array_equal(np.concatenate(blocks, axis=1), data)
+    assert (tmp_path / "copy.dsta").read_bytes() == path.read_bytes()
+
+
+def test_matrix_io_makes_two_collectives_each(tmp_path):
+    path = tmp_path / "x.dsta"
+    write_matrix(path, np.arange(30.0).reshape(5, 6))
+    ops = ("broadcast", "allreduce", "allgatherv", "scatterv", "barrier")
+
+    def fn(comm):
+        calls = []
+
+        def counted(op, method):
+            def call(*args, **kwargs):
+                calls.append(op)
+                return method(*args, **kwargs)
+            return call
+
+        for op in ops:
+            setattr(comm, op, counted(op, getattr(comm, op)))
+        a = read_matrix(path, comm)
+        read_calls, calls[:] = list(calls), []
+        write_matrix(tmp_path / "copy.dsta", a)
+        return read_calls, calls
+
+    for read_calls, write_calls in run_inproc(3, fn):
+        assert read_calls == write_calls == ["broadcast", "allreduce"]
 
 
 # -- commands -------------------------------------------------------------------

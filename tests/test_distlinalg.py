@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from blockstat.comm import init, run_inproc
-from blockstat.distarray import distribute, empty, gather_full, zeros
+from blockstat.distarray import TransposedView, distribute, empty, gather_full, zeros
 from blockstat.distlinalg import (
     SCENARIOS,
     ScenarioError,
@@ -397,3 +397,18 @@ def test_pairwise_extent_mismatch():
 
     with pytest.raises(ShapeError):
         run_inproc(2, fn)
+
+
+def test_materialize_keeps_a_transposed_column_2d():
+    a_dense = np.arange(12.0).reshape(4, 3)
+    b_dense = np.arange(3.0).reshape(3, 1)
+
+    def fn(comm):
+        c, a, b = scenario_operands("c", a_dense, b_dense, comm)
+        assert isinstance(c, TransposedView) and c.shape == (4, 1)
+        matmul(c, a, b)
+        return materialize(c)
+
+    for got in run_inproc(3, fn):
+        assert got.shape == (4, 1)
+        np.testing.assert_array_equal(got, a_dense @ b_dense)

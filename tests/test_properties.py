@@ -1,10 +1,11 @@
 """Property tests on generated inputs: every matmul scenario against numpy, the
-distribution, random-fill, scan and reduction contracts on every rank count, and
-the spectral-norm estimate against the SVD."""
+distribution, random-fill, scan and reduction contracts on every rank count, the
+blocks of a matrix file, and the spectral-norm estimate against the SVD."""
 
 import numpy as np
 import pytest
 
+from blockstat.cli import read_matrix, write_matrix
 from blockstat.comm import ReduceOp, run_inproc
 from blockstat.distarray import distribute, empty, gather_full, rand_fill, reduce_all, scan
 from blockstat.distlinalg import SCENARIOS, matmul, opnorm
@@ -175,3 +176,38 @@ def test_opnorm_l2_power_matches_svd(data, ranks):
     assert abs(got[0] - sigma) <= 1e-8 * sigma
     assert got[0] <= sigma * (1 + 1e-12)
     assert run_socket(2, _l2_power, data) == run_inproc(2, _l2_power, data)
+
+
+@st.composite
+def _bit_patterns(draw):
+    """f32/f64/i64 arrays of arbitrary bits (NaN payloads included), 1-3 dimensions."""
+    shape = draw(_SHAPES)
+    dtype = np.dtype(draw(st.sampled_from(["float32", "float64", "int64"])))
+    nbytes = int(np.prod(shape)) * dtype.itemsize
+    raw = draw(st.binary(min_size=nbytes, max_size=nbytes))
+    return np.frombuffer(raw, dtype=dtype).reshape(shape, order="F")
+
+
+def _file_blocks(comm, path, copy_path, data):
+    """This rank's block read from ``path``, the block ``distribute`` gives it,
+    and its block after a write to ``copy_path`` and a second read."""
+    a = read_matrix(path, comm, dtype=data.dtype)
+    want = distribute(data if comm.rank == 0 else None, comm)
+    write_matrix(copy_path, a)
+    return a.local, want.local, read_matrix(copy_path, comm).local
+
+
+def test_matrix_file_blocks_match_distribute_on_every_rank_count(tmp_path):
+    @_examples(60)
+    @given(_bit_patterns())
+    def check(data):
+        path = tmp_path / "x.dsta"
+        write_matrix(path, data)  # a plain array: the one-rank case
+        for ranks in (1, 2, 3, 4):
+            copy_path = tmp_path / f"copy{ranks}.dsta"
+            for got, want, again in run_inproc(ranks, _file_blocks, path, copy_path, data):
+                _assert_bitwise(got, want)
+                _assert_bitwise(again, want)
+            assert copy_path.read_bytes() == path.read_bytes()
+
+    check()
