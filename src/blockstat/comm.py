@@ -6,14 +6,19 @@ barrier) with compatible arguments.  Two backends implement the same
 contract:
 
 ``inproc:<P>``
-    P rank threads inside one process, exchanging payloads through a shared
-    slot table guarded by a reusable barrier.
+    P rank threads inside one process.  Each rank deposits its header and
+    buffers, uncopied; the last rank to arrive combines them and writes
+    every rank's result before any rank returns.
 
 ``tcp:<host:port>,...,rank=<r>``
     One OS process per rank.  Rank 0 listens on the first list entry and
-    acts as a hub; every other rank connects to it.  Messages are
+    acts as a hub; every other rank connects to it.  The hub combines the
+    ranks' payloads and replies to each with its result.  Messages are
     length-prefixed little-endian binary frames, uncompressed; payloads go
     straight between the sockets and numpy arrays.
+
+Both backends only move bytes: one combiner checks the headers and forms
+every collective's result, once per collective.
 
 Reductions fold contributions in ascending rank order with no tree
 reassociation, so floating-point results are identical run to run and
@@ -121,14 +126,6 @@ def _writeback(buf, flat):
         buf[...] = flat.reshape(buf.shape, order="F")
 
 
-def _fold(parts, ufunc):
-    """Fold payloads in ascending rank order; no reassociation."""
-    acc = np.array(parts[0], copy=True)
-    for part in parts[1:]:
-        ufunc(acc, part, out=acc)
-    return acc
-
-
 def _implied(h, rank):
     """Rank 0's header ``h`` as it applies to ``rank``: only lengths may differ."""
     if h.op == _Op.ALLGATHERV:
@@ -149,34 +146,39 @@ def _validate_headers(headers):
                 f"{field} mismatch: rank 0's call implies {a!r} for rank {r}, which has {b!r}")
 
 
-def _offsets(counts):
-    return np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+def _combine(headers, payloads, out):
+    """Check all ranks' headers, then form the collective's result, once.
 
-
-def _result_into(out, h, payloads, rank):
-    """Write ``rank``'s result of the collective agreed as ``h`` into ``out``.
-
-    ``out`` already holds ``rank``'s own allreduce or root broadcast payload.
-    An allreduce folds ranks 1..size-1 into rank 0's values in ascending
-    order.  An allgatherv places rank 0's part first, so rank 0's ``send``
-    is read before the rest of its ``recv`` is overwritten.
+    ``out`` is rank 0's flat receive buffer; for an allreduce it already
+    holds rank 0's payload, and ranks 1..size-1 are folded into it in
+    ascending order.  An allgatherv assembles every rank's part into it,
+    rank 0's first, since rank 0's ``send`` may be a view of ``out``.
+    Returns each rank's result: ``out``, root's payload or root's slice, or
+    None where a rank receives nothing (a barrier, or a broadcast's root).
     """
+    _validate_headers(headers)
+    h = headers[0]
     if h.op == _Op.BROADCAST:
-        if rank != h.root:
-            out[...] = payloads[h.root]
-    elif h.op == _Op.ALLREDUCE:
-        if rank != 0:
-            out[...] = payloads[0]
+        return [None if r == h.root else payloads[h.root] for r in range(len(headers))]
+    if h.op == _Op.SCATTERV:
+        offs = np.cumsum((0,) + h.counts)
+        return [payloads[h.root][offs[r]:offs[r + 1]] for r in range(len(headers))]
+    if h.op == _Op.ALLREDUCE:
         ufunc = _REDUCE_UFUNC[ReduceOp(h.redop)]
         for part in payloads[1:]:
             ufunc(out, part, out=out)
     elif h.op == _Op.ALLGATHERV:
-        offs = _offsets(h.counts)
+        offs = np.cumsum((0,) + h.counts)
         for r, part in enumerate(payloads):
             out[offs[r]:offs[r + 1]] = part
-    elif h.op == _Op.SCATTERV:
-        offs = _offsets(h.counts)
-        out[...] = payloads[h.root][offs[rank]:offs[rank + 1]]
+    return [out] * len(headers)
+
+
+def _deliver(result, out):
+    """Copy a rank's result from ``_combine`` into its flat buffer ``out``,
+    unless there is none or it is ``out`` itself."""
+    if result is not None and result is not out:
+        out[...] = result
 
 
 class Communicator:
@@ -190,8 +192,10 @@ class Communicator:
     Each collective writes this rank's result straight into the caller's
     buffer (``recv`` for allgatherv and scatterv), or into a flat copy that
     is written back when the buffer is not F-contiguous.  An allgatherv's
-    ``send`` may be a view of ``recv`` at this rank's own offset.  The public
-    collectives do not call one another, so each can be wrapped on its own.
+    ``send`` may be a view of ``recv`` at this rank's own offset.  Different
+    ranks' buffers must not overlap: on inproc one thread writes them all.
+    The public collectives do not call one another, so each can be wrapped
+    on its own.
     """
 
     rank: int
@@ -279,65 +283,60 @@ class Communicator:
 # ---------------------------------------------------------------------------
 
 
-class _EventBarrier:
-    """Reusable double-generation barrier; one Event wakeup per phase."""
+class _InProcWorld:
+    """Where the ranks meet; the last rank to arrive combines for all of them.
+
+    Each rank deposits its header, payload and flat receive buffer, uncopied.
+    No rank returns before the last arriver has written every rank's result,
+    so no buffer is reused while another rank reads it.  Alternate
+    collectives wait on alternate events, so one wakeup releases the ranks
+    and the next collective can start at once.
+    """
 
     def __init__(self, size, timeout):
-        self._size = size
+        self.size = size
         self._timeout = timeout
         self._lock = threading.Lock()
+        self._slots = [None] * size
         self._count = 0
         self._gen = 0
         self._events = [threading.Event(), threading.Event()]
+        self._error = None  # the last collective's contract error, raised by every rank
         self._broken = False
 
-    def wait(self):
+    def exchange(self, rank, header, payload, out):
         with self._lock:
             if self._broken:
                 raise RankAbortedError("world aborted")
             gen = self._gen
+            self._slots[rank] = (header, payload, out)
             self._count += 1
-            if self._count == self._size:
-                self._count = 0
+            last = self._count == self.size
+            if last:
+                headers, payloads, outs = zip(*self._slots)
+                self._slots, self._count, self._error = [None] * self.size, 0, None
+                try:
+                    for result, dest in zip(_combine(headers, payloads, outs[0]), outs):
+                        _deliver(result, dest)
+                except CollectiveContractError as exc:
+                    self._error = str(exc)
                 self._gen ^= 1
                 self._events[self._gen].clear()
                 self._events[gen].set()
-                return
-        if not self._events[gen].wait(self._timeout):
-            self.abort()
-            raise RankAbortedError("a rank timed out mid-collective")
-        if self._broken:
-            raise RankAbortedError("world aborted")
+        if not last:
+            if not self._events[gen].wait(self._timeout):
+                self.abort()
+                raise RankAbortedError("a rank timed out mid-collective")
+            if self._broken:
+                raise RankAbortedError("world aborted")
+        if self._error is not None:
+            raise CollectiveContractError(self._error)
 
     def abort(self):
         with self._lock:
             self._broken = True
             for event in self._events:
                 event.set()
-
-
-class _InProcWorld:
-    """Shared slot table; collective k deposits into the k-parity buffer.
-
-    One barrier per collective suffices: a rank can only reach collective
-    k+2 (reusing the k-parity slots) after every rank passed the k+1
-    barrier, which in turn requires every rank to have finished reading
-    the k-parity snapshot.
-    """
-
-    def __init__(self, size, timeout):
-        self.size = size
-        self.slots = [[None] * size, [None] * size]
-        self._barrier = _EventBarrier(size, timeout)
-
-    def exchange(self, rank, seq, entry):
-        buf = self.slots[seq & 1]
-        buf[rank] = entry
-        self._barrier.wait()
-        return list(buf)
-
-    def abort(self):
-        self._barrier.abort()
 
 
 class _InProcCommunicator(Communicator):
@@ -350,16 +349,7 @@ class _InProcCommunicator(Communicator):
         self.size = world.size
 
     def _transact(self, header, payload, out):
-        # A copy: this rank may return and reuse its buffer while others read it.
-        deposit = None if payload is None else np.array(payload, copy=True)
-        slots = self._world.exchange(self.rank, header.seq, (header, deposit))
-        if any(entry is None for entry in slots):
-            raise CollectiveContractError(
-                "ranks invoked different numbers of collectives"
-            )
-        headers, payloads = zip(*slots)
-        _validate_headers(headers)
-        _result_into(out, headers[0], payloads, self.rank)
+        self._world.exchange(self.rank, header, payload, out)
 
     def abort(self):
         self._world.abort()
@@ -485,7 +475,7 @@ class _SocketCommunicator(Communicator):
                     raise CommError(f"malformed frame from rank {r}: {exc!r}") from exc
                 headers.append(h)
                 payloads.append(raw)
-            _validate_headers(headers)
+            results = _combine(headers, payloads, out)
         except CollectiveContractError as exc:
             try:
                 for r in range(1, self.size):
@@ -497,14 +487,9 @@ class _SocketCommunicator(Communicator):
         except CommError:
             self._close_world()
             raise
-        _result_into(out, header, payloads, 0)
-        if header.op == _Op.SCATTERV:
-            send, offs = payloads[header.root], _offsets(header.counts)
-            for r in range(1, self.size):
-                _send_frame(self._peers[r], b"\x00", send[offs[r]:offs[r + 1]])
-        else:
-            for r in range(1, self.size):
-                _send_frame(self._peers[r], b"\x00", out)
+        _deliver(results[0], out)
+        for r in range(1, self.size):
+            _send_frame(self._peers[r], b"\x00", results[r])
 
     def _close_world(self):
         """Close every leaf's socket after a frame was left unread, whose rest
@@ -519,10 +504,11 @@ class _SocketCommunicator(Communicator):
             if not 0 <= n - 1 <= _ERROR_REPLY_MAX:
                 raise CommError(f"hub error reply of {n - 1} bytes, over {_ERROR_REPLY_MAX}")
             raise CollectiveContractError(_recv_exact(self._hub, n - 1).decode())
-        nbytes = 0 if out is None else out.nbytes
+        root = header.op == _Op.BROADCAST and header.root == self.rank  # holds the result
+        nbytes = 0 if out is None or root else out.nbytes
         if n - 1 != nbytes:
             raise CommError(f"hub reply holds {n - 1} payload bytes, expected {nbytes}")
-        if out is not None:
+        if nbytes:
             _recv_into(self._hub, out)
 
     def close(self):

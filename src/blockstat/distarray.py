@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comm import _CODE_DTYPES, _DTYPE_CODES, _REDUCE_UFUNC, ReduceOp, _fold
+from .comm import _CODE_DTYPES, _DTYPE_CODES, _REDUCE_UFUNC, ReduceOp
 
 
 class DistributionError(ValueError):
@@ -378,6 +378,14 @@ def reduce_into(dest, a):
         dest[...] = reduce_all(a, ReduceOp.SUM)
         return
     raise DistributionError(f"dest shape {dest.shape} is not a collapse of {a.shape}")
+
+
+def _fold(parts, ufunc):
+    """Fold ``parts`` in ascending rank order; no reassociation."""
+    acc = np.array(parts[0], copy=True)
+    for part in parts[1:]:
+        ufunc(acc, part, out=acc)
+    return acc
 
 
 def scan(dest, a, axis=0, op="sum"):

@@ -3,6 +3,7 @@
 import hashlib
 import socket
 import struct
+import sys
 import time
 import tracemalloc
 
@@ -444,6 +445,67 @@ def test_allreduce_allocates_no_result_copies(backend, size, payloads):
     assert all(buf[0] == buf[-1] == want for buf in bufs)
 
 
+@pytest.mark.parametrize("size", [2, 3])
+@pytest.mark.parametrize("op", ["allreduce", "allgatherv"])
+def test_inproc_collectives_copy_no_payloads(op, size):
+    # An 8 MB result; an allgatherv's ranks send near-equal parts of it.
+    counts = [_MB8 // size + (r < _MB8 % size) for r in range(size)]
+    sends = [np.full(counts[r] if op == "allgatherv" else _MB8, float(r + 1))
+             for r in range(size)]
+    recvs = [np.empty(_MB8) for _ in range(size)]
+
+    def fn(comm):
+        if op == "allreduce":
+            comm.allreduce(sends[comm.rank], ReduceOp.SUM)
+        else:
+            comm.allgatherv(sends[comm.rank], recvs[comm.rank], counts)
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run_inproc(size, fn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 0.25 * 8 * _MB8, (peak - base) / (8 * _MB8)
+    if op == "allreduce":
+        assert all(buf[0] == buf[-1] == size * (size + 1) // 2 for buf in sends)
+    else:
+        want = np.concatenate(sends)
+        assert all(np.array_equal(recv, want) for recv in recvs)
+
+
+def _back_to_back(comm, rounds):
+    """Rounds of an allreduce, a broadcast from a rotating root and an
+    in-place allgatherv, each buffer rewritten as soon as the call returns;
+    returns the rounds whose results were wrong."""
+    rank, size = comm.rank, comm.size
+    buf, recv, wrong = np.empty(3), np.empty(size), []
+    for i in range(rounds):
+        buf[:] = i + rank
+        comm.allreduce(buf, ReduceOp.SUM)
+        ok = np.all(buf == size * i + size * (size - 1) // 2)
+        buf[:] = rank
+        comm.broadcast(buf, root=i % size)
+        ok &= np.all(buf == i % size)
+        recv[rank] = i * rank
+        comm.allgatherv(recv[rank:rank + 1], recv, [1] * size)
+        ok &= np.array_equal(recv, i * np.arange(size))
+        if not ok:
+            wrong.append(i)
+    return wrong
+
+
+def test_inproc_buffers_reused_at_once_under_frequent_thread_switches():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = launch("inproc:4", _back_to_back, 200, timeout=10.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [[]] * 4
+
+
 def _follow_up_after_a_rejected_frame(comm):
     """Rank 1 allreduces 2^20 values against 1; then every rank tries two more
     collectives and reports what it raised, how fast, and with what message."""
@@ -578,7 +640,7 @@ def test_leaf_frames_match_the_wire_format():
     f64 = np.arange(5.0)
     cases = [  # (collective, hub's reply payload, the leaf's frame)
         (lambda c: c.barrier(), None, _golden(0, 1, -1, -1, -1, -1, -1)),
-        (lambda c: c.broadcast(f64[:3].copy(), root=1), f64[:3],
+        (lambda c: c.broadcast(f64[:3].copy(), root=1), None,
          _golden(1, 2, 1, -1, 1, -1, 3, payload=f64[:3].tobytes())),
         (lambda c: c.broadcast(np.zeros(3), root=0), f64[:3], _golden(1, 3, 1, -1, 0, -1, 3)),
         (lambda c: c.allreduce(f32.copy(), ReduceOp.MAX), f32,
@@ -601,3 +663,19 @@ def test_leaf_frames_match_the_wire_format():
             _send_frame(hub_end, b"\x00", reply)  # queued before the leaf asks
             call(leaf)
             assert _recv_all(hub_end, len(frame)) == frame
+
+
+def test_hub_sends_a_broadcast_root_an_empty_reply():
+    payload = np.arange(3.0)
+    buf = np.zeros(3)
+    hub_end, leaf_end = socket.socketpair()
+    with hub_end, leaf_end:
+        hub_end.settimeout(5.0)
+        leaf_end.settimeout(5.0)
+        hub = _SocketCommunicator(0, 2, peers=[None, hub_end])
+        leaf_end.sendall(_golden(1, 1, 1, -1, 1, -1, 3, payload=payload.tobytes()))
+        hub.broadcast(buf, root=1)
+        hub_end.shutdown(socket.SHUT_WR)
+        reply = b"".join(iter(lambda: leaf_end.recv(64), b""))
+    assert buf.tobytes() == payload.tobytes()
+    assert reply == struct.pack("<QB", 1, 0)  # its length and status byte, no payload

@@ -1,6 +1,7 @@
 """Property tests on generated inputs: every matmul scenario against numpy, the
-distribution, random-fill, scan and reduction contracts on every rank count, the
-blocks of a matrix file, and the spectral-norm estimate against the SVD."""
+distribution, random-fill, scan and reduction contracts on every rank count,
+every collective on both backends, the blocks of a matrix file, and the
+spectral-norm estimate against the SVD."""
 
 import numpy as np
 import pytest
@@ -148,6 +149,75 @@ def test_reduce_all_equals_numpy(data):
             want = fold(data).item()
             for got in run_inproc(ranks, _reduce, data, op):
                 assert got == want and type(got) is type(want), (op, ranks, got, want)
+
+
+@st.composite
+def _collective_cases(draw):
+    """1-4 ranks, a dtype, a reduction, an allreduce length, allgatherv and
+    scatterv counts that are often zero (more ranks than values), whether the
+    allgatherv is in place, and a seed for every rank's values."""
+    size = draw(st.integers(1, 4))
+    return (size, draw(st.sampled_from(["float32", "float64", "int64"])),
+            draw(st.sampled_from(list(ReduceOp))), draw(st.integers(0, 3)),
+            tuple(draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))),
+            draw(st.booleans()), draw(st.integers(0, 2 ** 32)))
+
+
+def _rank_values(seed, rank, tag, n, dtype):
+    gen = np.random.Generator(np.random.Philox([seed, rank, tag]))
+    if dtype == "int64":
+        return gen.integers(-9, 10, n)
+    return gen.standard_normal(n).astype(dtype)
+
+
+def _every_collective(comm, case):
+    """A broadcast and a scatterv from every root, an allreduce, an allgatherv
+    and a barrier; returns this rank's result of each."""
+    size, dtype, op, n, counts, in_place, seed = case
+    rank, offs, out = comm.rank, np.cumsum((0,) + counts), {}
+    for root in range(size):
+        buf = _rank_values(seed, rank, root, n, dtype)
+        comm.broadcast(buf, root)
+        recv = np.full(counts[rank], -1, dtype)
+        send = _rank_values(seed, rank, size + root, sum(counts), dtype) if rank == root else None
+        comm.scatterv(send, recv, counts, root)
+        out[f"broadcast{root}"], out[f"scatterv{root}"] = buf, recv
+    out["allreduce"] = _rank_values(seed, rank, 2 * size, n, dtype)
+    comm.allreduce(out["allreduce"], op)
+    out["allgatherv"] = np.full(offs[-1], -1, dtype)
+    send = _rank_values(seed, rank, 2 * size + 1, counts[rank], dtype)
+    if in_place:
+        out["allgatherv"][offs[rank]:offs[rank + 1]] = send
+        send = out["allgatherv"][offs[rank]:offs[rank + 1]]
+    comm.allgatherv(send, out["allgatherv"], counts)
+    comm.barrier()
+    return out
+
+
+_UFUNC = {ReduceOp.SUM: np.add, ReduceOp.PROD: np.multiply,
+          ReduceOp.MAX: np.maximum, ReduceOp.MIN: np.minimum}
+
+
+@_examples(50)
+@given(_collective_cases())
+def test_collectives_bitwise_equal_to_an_ascending_rank_reference(case):
+    size, dtype, op, n, counts, _, seed = case
+    total = _rank_values(seed, 0, 2 * size, n, dtype)
+    for r in range(1, size):
+        _UFUNC[op](total, _rank_values(seed, r, 2 * size, n, dtype), out=total)
+    want = {"allreduce": total, "allgatherv": np.concatenate(
+        [_rank_values(seed, r, 2 * size + 1, c, dtype) for r, c in enumerate(counts)])}
+    for root in range(size):
+        want[f"broadcast{root}"] = _rank_values(seed, root, root, n, dtype)
+        want[f"scatterv{root}"] = np.split(_rank_values(seed, root, size + root, sum(counts), dtype),
+                                           np.cumsum(counts)[:-1])
+    for results in (run_inproc(size, _every_collective, case),
+                    run_socket(size, _every_collective, case)):
+        for rank, got in enumerate(results):
+            assert got.keys() == want.keys()
+            for key, value in got.items():
+                expected = want[key][rank] if key.startswith("scatterv") else want[key]
+                _assert_bitwise(value, expected)
 
 
 @st.composite
