@@ -5,15 +5,15 @@ dense copy:
 
 * nonnegative matrix factorization (multiplicative updates and alternating
   projected gradient),
-* multidimensional scaling by majorization-minimization,
+* multidimensional scaling by majorization-minimization (Guttman transforms),
 * L1-regularized Cox proportional-hazards regression by proximal gradient,
   with the risk-set sums P delta formed on every rank by one reverse cumulative
   sum (:func:`pi_delta` is the distributed reference).
 
 All solver state lives in per-rank dataclasses holding the distributed
-operands plus preallocated workspaces; every inter-rank interaction happens
-inside the distarray/distlinalg calls, so traces are reproducible and, with
-``common_init`` data, independent of the rank count.
+operands plus preallocated workspaces; every reduction folds in ascending
+rank order, so traces are reproducible and, with ``common_init`` data,
+independent of the rank count.
 """
 
 from __future__ import annotations
@@ -27,14 +27,14 @@ from .comm import ReduceOp
 from .distarray import (
     DistArray,
     empty,
+    gather_full,
     map_broadcast,
     rand_fill,
     reduce_all,
-    reduce_into,
     transpose,
     zeros,
 )
-from .distlinalg import diag_fill, diag_get, dot, matmul, opnorm
+from .distlinalg import diag_get, dot, matmul, opnorm
 
 
 class DegenerateConfigError(RuntimeError):
@@ -208,15 +208,11 @@ def nmf_apg(state, iters):
 
 @dataclass
 class MdsState:
-    """Embedding (one point per column) plus the MM-update workspaces."""
+    """Embedding (one point per column) plus this rank's next iterate."""
 
     Y: DistArray               # n x n target distances
     theta: DistArray           # q x n embedding
-    theta_distances: DistArray  # n x n, reused for dist -> Z -> (W - Z)
-    theta_WmZ: DistArray       # q x n
-    d_dist: DistArray          # 1 x n distributed diagonal / Z sums
-    d_local: np.ndarray        # (n, 1) replicated diagonal
-    tmp: np.ndarray           # q x n replicated matmul staging
+    theta_new: np.ndarray      # q x (hi - lo) Guttman transform of this rank's columns
     perturb: bool = False
     trace: list = field(default_factory=list)
 
@@ -226,88 +222,88 @@ def mds_init(y, ndim, seed=None, perturb=False):
     if y.ndim != 2 or y.shape[0] != y.shape[1]:
         raise ValueError("MDS expects a square distance matrix")
     n = y.shape[0]
-    if n < 2:
-        raise ValueError("MDS needs at least two points")
-    comm = y.comm
-    dt = y.dtype
-    d_local = np.empty((n, 1), dtype=dt, order="F")
-    diag_get(d_local, y)
-    if np.any(d_local != 0):
+    if n < 2 or ndim < 1:
+        raise ValueError("MDS needs at least two points and one embedding dimension")
+    diag = np.empty(n, dtype=y.dtype)
+    diag_get(diag, y)
+    if np.any(diag != 0):
         raise ValueError("target distance matrix must have a zero diagonal")
-    theta = empty((ndim, n), comm, dt)
+    theta = empty((ndim, n), y.comm, y.dtype)
     rand_fill(theta, seed=seed, common_init=True)
     map_broadcast(theta, lambda t: 2.0 * t - 1.0, theta)
-    return MdsState(
-        Y=y, theta=theta,
-        theta_distances=empty((n, n), comm, dt),
-        theta_WmZ=empty((ndim, n), comm, dt),
-        d_dist=empty((1, n), comm, dt),
-        d_local=d_local,
-        tmp=np.empty((ndim, n), dtype=dt, order="F"),
-        perturb=perturb,
-    )
+    return MdsState(Y=y, theta=theta, perturb=perturb,
+                    theta_new=np.empty(theta.local.shape, dtype=y.dtype, order="F"))
 
 
-def _embedding_distances(dist, theta, d_dist, d_local, tmp):
-    """Pairwise embedding distances from the Gram matrix.
+_MDS_BLOCK = 128  # columns per block of a Guttman pass; 64-256 ran alike, wider slower
 
-    The diagonal comes out exactly zero: the clamped quadratic form
-    ``d_i + d_i - 2 g_ii`` cancels bitwise.
+
+def _guttman_pass(theta, y, theta_new=None, perturb=False):
+    """Partial ``[stress, off-diagonal zero distances]`` of this rank's columns
+    of ``y``; with ``theta_new``, also their Guttman transform (de Leeuw 1977).
+
+    One allgatherv of ``theta``, then blocks of ``_MDS_BLOCK`` columns with two
+    n x block workspaces.  Distances sum coordinate differences, so coincident
+    points are exactly 0 apart (the Gram identity can leave a residue).  Zero
+    distances become 1e-10 with ``perturb``; without it the update stops.
     """
-    matmul(dist, transpose(theta), theta, tmp=tmp)
-    diag_get(d_dist, dist)
-    diag_get(d_local, dist)
-    map_broadcast(dist, lambda g, dr, dc: np.sqrt(np.maximum(dr + dc - 2.0 * g, 0.0)),
-                  dist, d_dist, d_local)
+    full = gather_full(theta)
+    n, width = y.shape[0], y.hi - y.lo
+    dist = np.empty((n, min(_MDS_BLOCK, width)), dtype=y.dtype, order="F")
+    work = np.empty_like(dist)
+    part = np.zeros(2)
+    for a in range(0, width, _MDS_BLOCK):
+        b = min(a + _MDS_BLOCK, width)
+        cols = slice(y.lo + a, y.lo + b)
+        d, t, yb = dist[:, :b - a], work[:, :b - a], y.local[:, a:b]
+        np.subtract.outer(full[0], full[0, cols], out=d)
+        np.square(d, out=d)
+        for k in range(1, full.shape[0]):
+            np.subtract.outer(full[k], full[k, cols], out=t)
+            np.square(t, out=t)
+            d += t
+        np.sqrt(d, out=d)
+        np.subtract(yb, d, out=t)
+        part[0] += np.dot(t.ravel("F"), t.ravel("F"))
+        zeros = np.count_nonzero(d == 0.0) - (b - a)  # the diagonal is exactly 0
+        part[1] += zeros
+        if theta_new is None or (part[1] and not perturb):
+            continue
+        diag = (np.arange(cols.start, cols.stop), np.arange(b - a))
+        d[diag] = np.inf
+        if zeros:
+            d[d == 0.0] = 1e-10
+        np.divide(yb, d, out=t)                    # Z, with a zero diagonal
+        zs = t.sum(axis=0)
+        np.subtract(1.0, t, out=t)                 # W - Z, the unit weights less Z
+        t[diag] = 0.0
+        theta_new[:, a:b] = (full[:, cols] * (zs + n - 1.0) + full @ t) / (2.0 * (n - 1))
+    return part
 
 
 def mds_stress(theta, y):
     """Weighted squared misfit between target and embedding distances."""
-    n = y.shape[0]
-    dist = empty((n, n), y.comm, y.dtype)
-    _embedding_distances(dist, theta, empty((1, n), y.comm, y.dtype),
-                         np.empty((n, 1), dtype=y.dtype, order="F"), None)
-    # zero diagonals on both sides: the unit weights drop out
-    np.subtract(y.local, dist.local, out=dist.local)
-    return dot(dist, dist)
+    part = _guttman_pass(theta, y)
+    y.comm.allreduce(part, ReduceOp.SUM)
+    return part[0].item()
 
 
 def mds_fit(state, iters):
-    """Majorization-minimization updates; stress is nonincreasing.
+    """Majorization-minimization (Guttman transform) updates; stress is nonincreasing.
 
-    The trace records the stress of the iterate entering each update (the
-    distance matrix is already in hand there), fused with the coincident-
-    point check into a single reduction.
+    The trace records the stress of the iterate entering each update.  An
+    iteration gathers ``theta`` and makes one allreduce; coincident points
+    without ``perturb`` raise :class:`DegenerateConfigError` on every rank
+    before ``theta`` changes.
     """
     s = state
-    dist = s.theta_distances
-    w_sums = float(s.Y.shape[0] - 1)  # sum of the unit weights per point
     for _ in range(iters):
-        _embedding_distances(dist, s.theta, s.d_dist, s.d_local, s.tmp)
-        d = s.Y.local - dist.local
-        owned_diag = dist.hi - dist.lo
-        fused = np.array([
-            float(np.dot(np.ravel(d, order="F"), np.ravel(d, order="F"))),
-            float((dist.local == 0.0).sum() - owned_diag),
-        ])
-        s.Y.comm.allreduce(fused, ReduceOp.SUM)
-        stress, zero_pairs = fused
-        s.trace.append(float(stress))
-        diag_fill(dist, np.inf)
-        if zero_pairs > 0:
-            if not s.perturb:
-                raise DegenerateConfigError(
-                    "coincident embedding points; rerun with perturb=True"
-                )
-            map_broadcast(dist, lambda d_: np.where(d_ == 0.0, 1e-10, d_), dist)
-        map_broadcast(dist, lambda d_, y: y / d_, dist, s.Y)     # Z
-        reduce_into(s.d_dist, dist)                              # Z column sums
-        map_broadcast(dist, lambda z: 1.0 - z, dist)             # W - Z
-        diag_fill(dist, 0.0)
-        matmul(s.theta_WmZ, s.theta, dist, tmp=s.tmp)
-        w2 = 2.0 * w_sums
-        map_broadcast(s.theta, lambda t, zs, twz: (t * (zs + w_sums) + twz) / w2,
-                      s.theta, s.d_dist, s.theta_WmZ)
+        part = _guttman_pass(s.theta, s.Y, s.theta_new, s.perturb)
+        s.Y.comm.allreduce(part, ReduceOp.SUM)
+        s.trace.append(part[0].item())
+        if part[1] > 0 and not s.perturb:
+            raise DegenerateConfigError("coincident embedding points; rerun with perturb=True")
+        s.theta.local[...] = s.theta_new
     return s
 
 
@@ -354,10 +350,15 @@ def cox_init(x, y, delta, lam, sigma=None, ties="none"):
         raise ValueError("event indicators must be 0 or 1")
     if ties not in ("none", "breslow"):
         raise ValueError(f"unknown tie mode {ties!r}")
-    tied = bool(np.any(np.diff(y) == 0))
+    same = y[1:] == y[:-1]
+    tied = bool(same.any())
     if tied and ties == "none":
         raise ValueError("tied observed times need ties='breslow'")
-    cuts = np.searchsorted(-y, -y, side="right").astype(np.int64) - 1  # arange if not tied
+    # each block's first index carried forward, its last carried back
+    starts, cuts = np.arange(m, dtype=np.int64), np.arange(m, dtype=np.int64)
+    starts[1:][same], cuts[:-1][same] = 0, m
+    np.maximum.accumulate(starts, out=starts)
+    np.minimum.accumulate(cuts[::-1], out=cuts[::-1])
     if sigma is None:
         norm2 = opnorm(x, "l2_power")
         sigma = 1.0 / (2.0 * norm2 * norm2)
@@ -375,9 +376,7 @@ def cox_init(x, y, delta, lam, sigma=None, ties="none"):
         pd=np.empty(m, dtype=x.dtype),
         work=np.empty(m, dtype=x.dtype),
         grad=empty((n,), x.comm, x.dtype),
-        cuts=cuts,
-        starts=np.searchsorted(cuts, np.arange(m), side="left"),
-        tied=tied,
+        cuts=cuts, starts=starts, tied=tied,
         ties_buf=np.empty(m, dtype=x.dtype) if tied else None,
     )
 

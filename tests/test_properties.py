@@ -1,7 +1,8 @@
 """Property tests on generated inputs: every matmul scenario against numpy, the
 distribution, random-fill, scan and reduction contracts on every rank count,
-every collective on both backends, the blocks of a matrix file, and the
-spectral-norm estimate against the SVD."""
+every collective on both backends, the blocks of a matrix file, the
+spectral-norm estimate against the SVD, MDS traces and coincident points on
+every rank count, and the Cox tied-block indices."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from blockstat.cli import read_matrix, write_matrix
 from blockstat.comm import ReduceOp, run_inproc
 from blockstat.distarray import distribute, empty, gather_full, rand_fill, reduce_all, scan
 from blockstat.distlinalg import SCENARIOS, matmul, opnorm
+from blockstat.solvers import DegenerateConfigError, cox_init, mds_fit, mds_init
 from blockstat.testing import materialize, scenario_operands, tmp_shape
 from conftest import run_socket
 
@@ -281,3 +283,69 @@ def test_matrix_file_blocks_match_distribute_on_every_rank_count(tmp_path):
             assert copy_path.read_bytes() == path.read_bytes()
 
     check()
+
+
+@st.composite
+def _mds_cases(draw):
+    """Distances between n in 2..9 Gaussian points, an embedding dimension
+    q in 1..3, and a start with two coincident points."""
+    n, q = draw(st.integers(2, 9)), draw(st.integers(1, 3))
+    gen = np.random.Generator(np.random.Philox(draw(st.integers(0, 2 ** 32))))
+    x = gen.standard_normal((3, n))
+    y = np.sqrt(((x[:, :, None] - x[:, None, :]) ** 2).sum(axis=0))
+    start = gen.uniform(-1.0, 1.0, (q, n))
+    i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    start[:, j] = start[:, i]
+    return y, q, draw(st.integers(0, 2 ** 31)), start
+
+
+def _mds_run(comm, y, q, seed, iters):
+    state = mds_init(distribute(y if comm.rank == 0 else None, comm), q, seed=seed)
+    mds_fit(state, iters)
+    return np.asarray(state.trace), gather_full(state.theta)
+
+
+def _mds_coincident(comm, y, q, start):
+    state = mds_init(distribute(y if comm.rank == 0 else None, comm), q, seed=0)
+    state.theta.local[...] = distribute(start if comm.rank == 0 else None, comm).local
+    block = state.theta.local.copy()
+    try:
+        mds_fit(state, 1)
+    except DegenerateConfigError:
+        return np.array_equal(state.theta.local, block)
+    return None
+
+
+@_examples(25)
+@given(_mds_cases())
+def test_mds_traces_independent_of_rank_count_and_backend(case):
+    y, q, seed, start = case
+    trace, theta = run_inproc(1, _mds_run, y, q, seed, 5)[0]
+    assert np.all(np.diff(trace) <= 1e-10)
+    for ranks in (2, 3, 4):
+        for got, _ in run_inproc(ranks, _mds_run, y, q, seed, 5):
+            np.testing.assert_allclose(got, trace, rtol=1e-10)
+    for (ti, thi), (ts, ths) in zip(run_inproc(2, _mds_run, y, q, seed, 5),
+                                    run_socket(2, _mds_run, y, q, seed, 5)):
+        _assert_bitwise(ts, ti)
+        _assert_bitwise(ths, thi)
+    for ranks in (1, 2, 3, 4):
+        assert run_inproc(ranks, _mds_coincident, y, q, start) == [True] * ranks
+
+
+def _cox_tie_indices(comm, times):
+    m = len(times)
+    state = cox_init(distribute(np.zeros((m, 1)) if comm.rank == 0 else None, comm),
+                     times, np.ones(m), lam=0.1, sigma=1.0, ties="breslow")
+    return state.cuts, state.starts
+
+
+@_examples(100)
+@given(st.lists(st.integers(0, 8), min_size=1, max_size=60))
+def test_cox_tie_indices_match_searchsorted(values):
+    times = np.sort(np.array(values, dtype=np.float64))[::-1]
+    cuts = np.searchsorted(-times, -times, side="right").astype(np.int64) - 1
+    starts = np.searchsorted(cuts, np.arange(len(times)), side="left").astype(np.int64)
+    (got_cuts, got_starts), = run_inproc(1, _cox_tie_indices, times)
+    _assert_bitwise(got_cuts, cuts)
+    _assert_bitwise(got_starts, starts)

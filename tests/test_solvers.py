@@ -368,6 +368,52 @@ def test_mds_coincident_points_raise_or_perturb():
         assert np.isfinite(stress)
 
 
+def test_mds_makes_one_gather_and_one_allreduce():
+    ops = ("broadcast", "allreduce", "allgatherv", "scatterv", "barrier")
+
+    def fn(comm):
+        y = empty((7, 7), comm)
+        pairwise_euclidean(y, _dist(comm, rng(90).standard_normal((3, 7))))
+        state = mds_init(y, 2, seed=4)
+        calls = []
+
+        def counted(op, method):
+            def call(*args, **kwargs):
+                calls.append(op)
+                return method(*args, **kwargs)
+            return call
+
+        for op in ops:
+            setattr(comm, op, counted(op, getattr(comm, op)))
+        mds_fit(state, 1)
+        fit_calls, calls[:] = list(calls), []
+        mds_stress(state.theta, y)
+        return fit_calls, calls
+
+    for fit_calls, stress_calls in run_inproc(3, fn):
+        assert fit_calls == stress_calls == ["allgatherv", "allreduce"]
+
+
+def test_mds_iteration_allocates_no_n_by_n_temporaries():
+    n = 2000
+
+    def fn(comm):
+        y = empty((n, n), comm)
+        pairwise_euclidean(y, _dist(comm, rng(91).standard_normal((3, n))))
+        state = mds_init(y, 2, seed=5)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            mds_fit(state, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return (peak - base) / (n * n * 8)
+
+    (squares,) = run_inproc(1, fn)
+    assert squares < 0.25, squares
+
+
 # -- Cox -------------------------------------------------------------------------
 
 
