@@ -40,6 +40,7 @@ from .distarray import DistArray, distribute, empty, gather_full, rand_fill, sca
 from .distlinalg import SCENARIOS, matmul, pairwise_euclidean
 from .solvers import (
     ConvergenceMonitor,
+    converged,
     cox_fit,
     cox_init,
     mds_fit,
@@ -272,12 +273,14 @@ def _cmd_cox(comm, args):
         y, delta = _synthetic_survival(m, args.seed, dtype)
     state = cox_init(x, y, delta, lam=args.lam, sigma=args.sigma, ties=args.ties)
     monitor = ConvergenceMonitor() if args.monitor else None
+    # cox_fit records each entry, then stops without stepping if the monitor
+    # fires on it; a copy fed the same entries fires on the same, last, row.
+    seen = ConvergenceMonitor()
 
     def step(it):
-        before = len(state.trace)
-        cox_fit(state, 1, monitor=monitor)
-        if len(state.trace) == before:  # monitor fired before stepping
+        if monitor is not None and it and converged(seen, state.trace[-1]):
             return None
+        cox_fit(state, 1, monitor=monitor)
         return state.trace[-1]
 
     rows = _trace_loop(step, args.iters, args.trace if comm.rank == 0 else None)

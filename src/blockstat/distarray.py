@@ -244,13 +244,20 @@ def distribute(data, comm):
     return out
 
 
+def _gather(a, lo, hi, out):
+    """Fill ``out`` on every rank with global columns [lo, hi) of ``a``, in
+    column-major order, by one allgatherv (in place if ``out`` is F-contiguous)."""
+    cuts = [min(max(b, lo), hi) for b in a.partition.boundaries]  # each rank's overlap
+    r, rows = a.comm.rank, _rows(a.shape)
+    mine = a.local[..., cuts[r] - a.lo:cuts[r + 1] - a.lo]
+    counts = [rows * (stop - start) for start, stop in zip(cuts, cuts[1:])]
+    a.comm.allgatherv(np.ravel(mine, order="F"), out, counts)
+    return out
+
+
 def gather_full(a):
     """Dense copy of the whole array, identical on every rank."""
-    rows = _rows(a.shape)
-    counts = [rows * w for w in a.partition.counts()]
-    recv = np.empty(sum(counts), dtype=a.dtype)
-    a.comm.allgatherv(np.ravel(a.local, order="F"), recv, counts)
-    return recv.reshape(a.shape, order="F")
+    return _gather(a, 0, a.shape[-1], np.empty(a.shape, dtype=a.dtype, order="F"))
 
 
 def map_broadcast(dest, fn, *args, allow_full_replicated=False):
@@ -358,26 +365,18 @@ def reduce_into(dest, a):
     if a.ndim != 2:
         raise ValueError("reduce_into expects a 2-D source")
     m, n = a.shape
-    if isinstance(dest, DistArray):
-        if dest.shape == (1, n):
-            np.sum(a.local, axis=0, keepdims=True, out=dest.local)
-            return
-        if dest.shape == (1, 1):
-            dest.local[...] = reduce_all(a, ReduceOp.SUM)
-            return
-        raise DistributionError(f"dest shape {dest.shape} is not a collapse of {a.shape}")
-    dest = np.asarray(dest)
-    if dest.shape == (m, 1):
-        if a.local.size:
-            np.sum(a.local, axis=1, keepdims=True, out=dest)
-        else:
-            dest[...] = 0
-        a.comm.allreduce(dest, ReduceOp.SUM)
-        return
-    if dest.shape == (1, 1):
-        dest[...] = reduce_all(a, ReduceOp.SUM)
-        return
-    raise DistributionError(f"dest shape {dest.shape} is not a collapse of {a.shape}")
+    distributed = isinstance(dest, DistArray)
+    target = dest.local if distributed else np.asarray(dest)
+    shape = dest.shape if distributed else target.shape
+    if distributed and shape == (1, n):
+        np.sum(a.local, axis=0, keepdims=True, out=target)
+    elif not distributed and shape == (m, 1):
+        np.sum(a.local, axis=1, keepdims=True, out=target)  # zeros for an empty block
+        a.comm.allreduce(target, ReduceOp.SUM)
+    elif shape == (1, 1):
+        target[...] = reduce_all(a, ReduceOp.SUM)
+    else:
+        raise DistributionError(f"dest shape {shape} is not a collapse of {a.shape}")
 
 
 def _fold(parts, ufunc):

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .comm import ReduceOp
-from .distarray import DistArray, TransposedView, gather_full
+from .distarray import DistArray, TransposedView, _gather
 
 # row: (A, B, C, how C is formed).  A is (p, q) and B is (q, r), or a
 # length-q vector in rows l-q.  ``how`` is one of
@@ -103,9 +103,7 @@ def diag_get(dest, m):
     dest = np.asarray(dest)
     if dest.shape not in ((n,), (n, 1)):
         raise ShapeError(f"replicated dest must have length {n}")
-    flat = np.empty(n, dtype=m.dtype)
-    m.comm.allgatherv(_owned_diag(m), flat, m.partition.counts())
-    dest[...] = flat.reshape(dest.shape)
+    m.comm.allgatherv(_owned_diag(m), dest, m.partition.counts())
 
 
 def diag_fill(m, value):
@@ -152,7 +150,7 @@ def _block(x, kind):
 
 def _gather_into(x, kind, tmp):
     """Gather distributed ``x`` into ``tmp`` (its stored shape); return it in global orientation."""
-    tmp[...] = gather_full(_owner(x)).reshape(tmp.shape)
+    _gather(_owner(x), 0, _owner(x).shape[-1], tmp)
     return tmp.T if kind == "tdist" else tmp
 
 
@@ -336,20 +334,24 @@ def opnorm(a, which="l2_power", tol=1e-6, maxiter=1000):
     return estimate
 
 
-def _gather_columns(x, lo, hi):
-    """Replicated copy of global columns [lo, hi) of a column-split matrix."""
-    m = x.shape[0]
-    counts = []
-    for rank in range(x.comm.size):
-        a = max(lo, x.partition.lo(rank))
-        b = min(hi, x.partition.hi(rank))
-        counts.append(m * max(0, b - a))
-    a = max(lo, x.lo) - x.lo
-    b = min(hi, x.hi) - x.lo
-    mine = x.local[:, a:b] if b > a else x.local[:, :0]
-    flat = np.empty(sum(counts), dtype=x.dtype)
-    x.comm.allgatherv(np.ravel(mine, order="F"), flat, counts)
-    return flat.reshape((m, hi - lo), order="F")
+def _distances(a, b, out, work):
+    """``out[i, j] = ||a[:, i] - b[:, j]||`` for points stored as columns.
+
+    Squared coordinate differences are added in coordinate order, the first
+    written straight into ``out``, so coincident points are exactly 0 apart
+    (the Gram identity can leave a residue).  ``work`` is scratch of
+    ``out``'s shape.
+    """
+    if not len(a):
+        out[...] = 0
+        return out
+    np.subtract.outer(a[0], b[0], out=out)
+    np.square(out, out=out)
+    for k in range(1, len(a)):
+        np.subtract.outer(a[k], b[k], out=work)
+        np.square(work, out=work)
+        out += work
+    return np.sqrt(out, out=out)
 
 
 def pairwise_euclidean(y, x, chunk=64):
@@ -357,8 +359,8 @@ def pairwise_euclidean(y, x, chunk=64):
 
     ``x`` holds one point per column ((m, n) distributed); ``y`` receives
     the n x n distance matrix with zero diagonal.  Points are brought in
-    as replicated column chunks of at most ``chunk`` columns to bound peak
-    memory; the result is identical for every chunk width.
+    as replicated chunks of at most ``chunk`` columns, through one buffer,
+    to bound peak memory; the result is identical for every chunk width.
     """
     if x.ndim != 2 or y.ndim != 2:
         raise ShapeError("pairwise_euclidean expects 2-D arrays")
@@ -367,15 +369,10 @@ def pairwise_euclidean(y, x, chunk=64):
         raise ShapeError(f"distance matrix must be {n} x {n}, got {y.shape}")
     if chunk < 1:
         raise ValueError("chunk width must be >= 1")
-    width = x.hi - x.lo
-    diff = np.empty((x.shape[0], width), dtype=x.dtype, order="F") if width else None
+    cols = np.empty((x.shape[0], min(chunk, n)), dtype=x.dtype, order="F")
+    work = np.empty((cols.shape[1], x.hi - x.lo), dtype=y.dtype, order="F")
     for c0 in range(0, n, chunk):
         c1 = min(c0 + chunk, n)
-        cols = _gather_columns(x, c0, c1)
-        if width == 0:
-            continue
-        for t in range(c1 - c0):
-            np.subtract(x.local, cols[:, t:t + 1], out=diff)
-            np.multiply(diff, diff, out=diff)
-            y.local[c0 + t, :] = np.sqrt(diff.sum(axis=0))
+        _gather(x, c0, c1, cols[:, :c1 - c0])
+        _distances(cols[:, :c1 - c0], x.local, y.local[c0:c1], work[:c1 - c0])
     diag_fill(y, 0)

@@ -34,7 +34,7 @@ from .distarray import (
     transpose,
     zeros,
 )
-from .distlinalg import diag_get, dot, matmul, opnorm
+from .distlinalg import _distances, diag_get, dot, matmul, opnorm
 
 
 class DegenerateConfigError(RuntimeError):
@@ -243,9 +243,9 @@ def _guttman_pass(theta, y, theta_new=None, perturb=False):
     of ``y``; with ``theta_new``, also their Guttman transform (de Leeuw 1977).
 
     One allgatherv of ``theta``, then blocks of ``_MDS_BLOCK`` columns with two
-    n x block workspaces.  Distances sum coordinate differences, so coincident
-    points are exactly 0 apart (the Gram identity can leave a residue).  Zero
-    distances become 1e-10 with ``perturb``; without it the update stops.
+    n x block workspaces.  :func:`~blockstat.distlinalg._distances` puts
+    coincident points exactly 0 apart.  Zero distances become 1e-10 with
+    ``perturb``; without it the update stops.
     """
     full = gather_full(theta)
     n, width = y.shape[0], y.hi - y.lo
@@ -256,13 +256,7 @@ def _guttman_pass(theta, y, theta_new=None, perturb=False):
         b = min(a + _MDS_BLOCK, width)
         cols = slice(y.lo + a, y.lo + b)
         d, t, yb = dist[:, :b - a], work[:, :b - a], y.local[:, a:b]
-        np.subtract.outer(full[0], full[0, cols], out=d)
-        np.square(d, out=d)
-        for k in range(1, full.shape[0]):
-            np.subtract.outer(full[k], full[k, cols], out=t)
-            np.square(t, out=t)
-            d += t
-        np.sqrt(d, out=d)
+        _distances(full, full[:, cols], d, t)
         np.subtract(yb, d, out=t)
         part[0] += np.dot(t.ravel("F"), t.ravel("F"))
         zeros = np.count_nonzero(d == 0.0) - (b - a)  # the diagonal is exactly 0

@@ -237,6 +237,19 @@ def test_cox_lambda_dominant_zero_beta(tmp_path):
     np.testing.assert_array_equal(run_inproc(1, fn)[0], np.zeros(4))
 
 
+def test_cox_monitor_stops_once_the_objective_stalls(tmp_path):
+    # lambda 0.5 keeps beta at 0, so the objective repeats from the first
+    # entry and the default window of 10 fires on entry 11
+    data_path, trace_path = str(tmp_path / "X.dsta"), tmp_path / "t.csv"
+    assert run(["gen", "--rows", "200", "--cols", "5", "--seed", "3",
+                "--dist", "standard_normal", "--out", data_path]) == 0
+    assert run(["cox", "--input", data_path, "--lambda", "0.5", "--iters", "3000",
+                "--monitor", "--trace", str(trace_path), "--backend", "inproc:2"]) == 0
+    rows = _read_trace(trace_path)
+    assert 0 < len(rows) <= 11
+    assert len({obj for _, obj, _ in rows}) == 1
+
+
 def test_cox_with_survival_files(tmp_path):
     gen = rng(31)
     m, n = 12, 3

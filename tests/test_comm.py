@@ -428,7 +428,7 @@ _MB8 = 1 << 20  # float64 values in an 8 MB payload
 
 @pytest.mark.parametrize("backend,size,payloads", [
     ("socket", 2, 1), ("socket", 3, 2),  # the hub's receive buffer per leaf
-    ("inproc", 2, 2), ("inproc", 3, 3),  # the deposited copy per rank
+    ("inproc", 2, 2), ("inproc", 3, 3),  # loose: ranks deposit their buffers uncopied
 ])
 def test_allreduce_allocates_no_result_copies(backend, size, payloads):
     bufs = [np.full(_MB8, float(r + 1)) for r in range(size)]

@@ -1,5 +1,7 @@
 """Distributed linear algebra vs dense oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -243,6 +245,41 @@ def test_matmul_tmp_neutrality_bitwise():
     for lhs, rhs in zip(without, with_tmp):
         for row in lhs:
             np.testing.assert_array_equal(lhs[row], rhs[row])
+
+
+# (p, q, r) for each gather row: the replicated operand is 3.2 MB, the product small
+_GATHER_ROW_SHAPES = {"a": (20, 20000, 4), "f": (20, 20000, 4), "g": (2, 40, 10000),
+                      "h": (2, 40, 10000), "o": (2, 400000, 1)}
+
+
+@pytest.mark.parametrize("row", sorted(_GATHER_ROW_SHAPES))
+def test_matmul_gather_rows_fill_tmp_in_place(row):
+    p, q, r = _GATHER_ROW_SHAPES[row]
+    gen = rng(58)
+    a_dense = gen.random((p, q))
+    b_dense = gen.random((q,) if row == "o" else (q, r))
+    shape = tmp_shape(row, p, q, r)
+    peaks = []
+
+    def fn(comm):
+        c, a, b = scenario_operands(row, a_dense, b_dense, comm)
+        tmp = np.empty(shape, order="F")
+        comm.barrier()
+        if comm.rank == 0:
+            tracemalloc.start()
+        comm.barrier()
+        for _ in range(3):
+            matmul(c, a, b, tmp=tmp)
+        comm.barrier()
+        if comm.rank == 0:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        return materialize(c)
+
+    for got in run_inproc(2, fn):
+        np.testing.assert_allclose(got, a_dense @ b_dense, rtol=1e-12)
+    tmp_bytes = 8 * int(np.prod(shape))
+    assert peaks[0] < 0.25 * tmp_bytes, peaks[0] / tmp_bytes
 
 
 def test_matmul_inadmissible_kinds():

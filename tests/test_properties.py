@@ -1,17 +1,38 @@
 """Property tests on generated inputs: every matmul scenario against numpy, the
-distribution, random-fill, scan and reduction contracts on every rank count,
-every collective on both backends, the blocks of a matrix file, the
-spectral-norm estimate against the SVD, MDS traces and coincident points on
-every rank count, and the Cox tied-block indices."""
+distribution, column-gather, random-fill, elementwise, scan and reduction
+contracts on every rank count, every collective on both backends, the blocks
+of a matrix file, the spectral-norm estimate against the SVD, MDS, NMF and
+Cox traces and coincident points on every rank count and both backends, and
+the Cox tied-block indices."""
 
 import numpy as np
 import pytest
 
 from blockstat.cli import read_matrix, write_matrix
 from blockstat.comm import ReduceOp, run_inproc
-from blockstat.distarray import distribute, empty, gather_full, rand_fill, reduce_all, scan
+from blockstat.distarray import (
+    DistArray,
+    _gather,
+    distribute,
+    empty,
+    gather_full,
+    map_broadcast,
+    rand_fill,
+    reduce_all,
+    reduce_dims,
+    scan,
+)
 from blockstat.distlinalg import SCENARIOS, matmul, opnorm
-from blockstat.solvers import DegenerateConfigError, cox_init, mds_fit, mds_init
+from blockstat.solvers import (
+    DegenerateConfigError,
+    cox_fit,
+    cox_init,
+    mds_fit,
+    mds_init,
+    nmf_apg,
+    nmf_init,
+    nmf_multiplicative,
+)
 from blockstat.testing import materialize, scenario_operands, tmp_shape
 from conftest import run_socket
 
@@ -59,7 +80,7 @@ def _product(comm, row, a_dense, b_dense, use_tmp):
                       1 if b_dense.ndim == 1 else b_dense.shape[1])
     tmp = np.zeros(shape, dtype=a_dense.dtype, order="F") if use_tmp and shape is not None else None
     matmul(c, a, b, tmp=tmp)
-    # materialize reads a transposed 1 x n row as a vector; restore C's shape
+    # materialize already returns C's shape; a (p, 1) transposed view stays 2-D
     return materialize(c).reshape(c.shape)
 
 
@@ -99,6 +120,38 @@ def test_distribute_gather_round_trip_over_sockets(data):
         _assert_bitwise(got, data)
 
 
+@st.composite
+def _gather_cases(draw):
+    """An array, a column range [lo, hi) that is often empty or inside one
+    rank's block, and the layout of the receiving buffer."""
+    data = draw(_arrays())
+    lo = draw(st.integers(0, data.shape[-1]))
+    hi = draw(st.integers(lo, data.shape[-1]))
+    return data, lo, hi, draw(st.sampled_from(["F", "C", "strided"]))
+
+
+def _gather_range(comm, data, lo, hi, layout):
+    a = distribute(data if comm.rank == 0 else None, comm)
+    shape = data.shape[:-1] + (hi - lo,)
+    if layout == "strided":
+        out = np.zeros(shape + (2,), dtype=data.dtype)[..., 1]
+    else:
+        out = np.zeros(shape, dtype=data.dtype, order=layout)
+    assert _gather(a, lo, hi, out) is out
+    return out
+
+
+@_examples(60)
+@given(_gather_cases())
+def test_gather_fills_any_buffer_with_the_column_range(case):
+    want = case[0][..., case[1]:case[2]]
+    for ranks in (1, 2, 3, 4):
+        for got in run_inproc(ranks, _gather_range, *case):
+            _assert_bitwise(got, want)
+    for got in run_socket(2, _gather_range, *case):
+        _assert_bitwise(got, want)
+
+
 def _common_fill(comm, shape, dtype, seed, dist):
     a = empty(shape, comm, dtype)
     rand_fill(a, seed=seed, common_init=True, dist=dist)
@@ -130,6 +183,89 @@ def test_scan_along_split_axis_equals_cumsum(data):
     for ranks in (1, 2, 3, 4):
         for got in run_inproc(ranks, _split_axis_scan, data):
             _assert_bitwise(got, want)
+
+
+@st.composite
+def _scan_cases(draw):
+    """An array of 2-3 dimensions, a non-split axis (maybe negative) and an op."""
+    shape = tuple(draw(st.lists(st.integers(0, 5), min_size=2, max_size=3)))
+    data = _ints(draw, shape, draw(st.sampled_from(["float32", "float64", "int64"])))
+    axis = draw(st.integers(0, len(shape) - 2))
+    return data, axis - len(shape) if draw(st.booleans()) else axis, draw(st.sampled_from(["sum", "prod"]))
+
+
+def _scan_along(comm, data, axis, op):
+    a = distribute(data if comm.rank == 0 else None, comm)
+    out = empty(a.shape, comm, a.dtype)
+    scan(out, a, axis=axis, op=op)
+    return gather_full(out)
+
+
+@_examples(60)
+@given(_scan_cases())
+def test_scan_along_other_axes_equals_numpy(case):
+    data, axis, op = case
+    want = (np.cumsum if op == "sum" else np.cumprod)(data, axis=axis)
+    for ranks in (1, 2, 3, 4):
+        for got in run_inproc(ranks, _scan_along, *case):
+            _assert_bitwise(got, want)
+
+
+@st.composite
+def _broadcast_cases(draw):
+    """A distributed operand, a replicated one of extent 1 on the split axis,
+    a full-extent replicated one and a scalar.  The replicated ones may have
+    fewer dimensions and extents of 1 in place of the destination's."""
+    dtype = draw(st.sampled_from(["float32", "float64", "int64"]))
+    shape = draw(_SHAPES)
+
+    def replicated(last):
+        lead = tuple(1 if draw(st.booleans()) else s for s in shape[:-1])
+        return _ints(draw, lead[draw(st.integers(0, len(lead))):] + (last,), dtype)
+
+    return (_ints(draw, shape, dtype), replicated(1), replicated(shape[-1]),
+            draw(st.integers(-4, 4)))
+
+
+def _mixed_broadcast(comm, dist, one, full, scalar):
+    a = distribute(dist if comm.rank == 0 else None, comm)
+    dest = empty(a.shape, comm, a.dtype)
+    map_broadcast(dest, lambda d, o, f, s: (d - o) * f + s, a, one, full, scalar,
+                  allow_full_replicated=True)
+    return gather_full(dest)
+
+
+@_examples(60)
+@given(_broadcast_cases())
+def test_map_broadcast_mixes_distributed_replicated_and_scalar_operands(case):
+    dist, one, full, scalar = case
+    want = ((dist - one) * full + scalar).astype(dist.dtype)
+    for ranks in (1, 2, 3, 4):
+        for got in run_inproc(ranks, _mixed_broadcast, *case):
+            _assert_bitwise(got, want)
+
+
+@st.composite
+def _matrices(draw):
+    """Integer-valued f32/f64/i64 matrices with extents 0..5."""
+    shape = (draw(st.integers(0, 5)), draw(st.integers(0, 5)))
+    return _ints(draw, shape, draw(st.sampled_from(["float32", "float64", "int64"])))
+
+
+def _reduce_dims(comm, data, axis):
+    out = reduce_dims(distribute(data if comm.rank == 0 else None, comm), axis)
+    return gather_full(out) if isinstance(out, DistArray) else out
+
+
+@_examples(80)
+@given(_matrices())
+def test_reduce_dims_equals_numpy(data):
+    wants = {0: data.sum(axis=0, keepdims=True), 1: data.sum(axis=1, keepdims=True),
+             (0, 1): data.sum(keepdims=True)}
+    for axis, want in wants.items():
+        for ranks in (1, 2, 3, 4):
+            for got in run_inproc(ranks, _reduce_dims, data, axis):
+                _assert_bitwise(got, want)
 
 
 def _reduce(comm, data, op):
@@ -349,3 +485,48 @@ def test_cox_tie_indices_match_searchsorted(values):
     (got_cuts, got_starts), = run_inproc(1, _cox_tie_indices, times)
     _assert_bitwise(got_cuts, cuts)
     _assert_bitwise(got_starts, starts)
+
+
+@st.composite
+def _solver_cases(draw):
+    """A nonnegative m x n matrix (m, n in 1..6, so often fewer columns than
+    ranks) with a seed and a factorization rank, and Cox data: descending
+    times, tied for Breslow, events and a penalty."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    gen = np.random.Generator(np.random.Philox(draw(st.integers(0, 2 ** 32))))
+    x = gen.random((m, n))
+    ties = draw(st.sampled_from(["none", "breslow"]))
+    times = gen.integers(0, 3, m) if ties == "breslow" else gen.permutation(m)
+    cox = (np.sort(times.astype(np.float64))[::-1].copy(),
+           (gen.random(m) > 0.3).astype(np.float64), ties,
+           draw(st.sampled_from([0.0, 1e-3, 0.1])))
+    return x, draw(st.integers(0, 2 ** 31)), draw(st.integers(1, 3)), cox
+
+
+def _solver_traces(comm, x, seed, rank, cox):
+    a = distribute(x if comm.rank == 0 else None, comm)
+    out = []
+    for algorithm in (nmf_multiplicative, nmf_apg):
+        state = algorithm(nmf_init(a, rank, seed=seed), 5)
+        out += [np.asarray(state.trace), gather_full(state.Vt), gather_full(state.W)]
+    times, delta, ties, lam = cox
+    state = cox_fit(cox_init(a, times, delta, lam=lam, ties=ties), 5)
+    return out + [np.asarray(state.trace), gather_full(state.beta)]
+
+
+@_examples(15)
+@given(_solver_cases())
+def test_nmf_and_cox_traces_independent_of_rank_count_and_backend(case):
+    want = run_inproc(1, _solver_traces, *case)[0]
+    # The NMF trace comes from the Gram identity, accurate to about eps ||X||^2
+    # (an exact fit reads 1e-17 on one rank count and 0 on another).
+    scales = [np.abs(w).max(initial=0.0) for w in want]
+    scales[0] = scales[3] = float((case[0] ** 2).sum())
+    for ranks in (2, 3, 4):
+        for got in run_inproc(ranks, _solver_traces, *case):
+            for g, w, scale in zip(got, want, scales):
+                np.testing.assert_allclose(g, w, rtol=1e-10, atol=1e-10 * scale)
+    for inproc, socket in zip(run_inproc(2, _solver_traces, *case),
+                              run_socket(2, _solver_traces, *case)):
+        for i, t in zip(inproc, socket):
+            _assert_bitwise(t, i)

@@ -698,7 +698,7 @@ def test_cox_tied_iteration_allocates_no_m_length_temporaries():
         return (peak - base) / (m * 8)
 
     (lengths,) = run_inproc(1, fn)
-    assert lengths <= 1.2, lengths  # the allreduce deposit of X beta; no tie gathers
+    assert lengths <= 1.2, lengths  # loose: about 0.01 m-lengths now, and no tie gathers
 
 
 def test_cox_traces_identical_across_backends():
