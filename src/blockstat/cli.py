@@ -13,7 +13,8 @@ a matrix file itself and reads or writes only its own byte range, so ranks on
 different hosts need the same path on a shared file system; rank 0 alone
 checks or writes the header and writes the trace.  The backend comes from
 ``--backend`` unless the environment variable ``DISTSTAT_BACKEND`` is set,
-which overrides the flag.
+which overrides the flag.  ``nmf``, ``mds`` and ``cox`` make one solver call;
+the trace's ``elapsed_s`` is rank 0's ``iter_stats`` seconds since it began.
 
 Matrix files are binary: magic ``DSTA``, one dtype byte (0=f32, 1=f64,
 2=i64), the number of dimensions as a little-endian u64, one u64 extent per
@@ -26,6 +27,7 @@ contract violation.
 from __future__ import annotations
 
 import argparse
+from functools import partial
 import math
 import os
 import struct
@@ -35,12 +37,13 @@ import time
 import numpy as np
 
 from . import comm as _comm
-from .comm import _CODE_DTYPES, _DTYPE_CODES, CollectiveContractError, CommError, CommInitError
-from .distarray import DistArray, distribute, empty, gather_full, rand_fill, scan as _scan
+from .comm import _CODE_DTYPES, _DTYPE_CODES, CollectiveContractError, CommError
+from .distarray import DistArray, distribute, empty, gather_full, rand_fill, reduce_all, scan as _scan
 from .distlinalg import SCENARIOS, matmul, pairwise_euclidean
 from .solvers import (
     ConvergenceMonitor,
-    converged,
+    DegenerateConfigError,
+    NumericError,
     cox_fit,
     cox_init,
     mds_fit,
@@ -177,25 +180,12 @@ def read_matrix(path, comm, dtype=None):
     return out
 
 
-def _write_trace(path, rows):
-    with open(path, "w") as fh:
-        fh.write("iter,objective,elapsed_s\n")
-        for it, obj, elapsed in rows:
-            fh.write(f"{it},{obj!r},{elapsed:.6f}\n")
-
-
-def _trace_loop(step, iters, trace):
-    """Run ``step(i)`` ``iters`` times, recording (iter, objective, seconds)."""
-    rows = []
-    t0 = time.perf_counter()
-    for it in range(iters):
-        obj = step(it)
-        if obj is None:
-            break
-        rows.append((it, obj, time.perf_counter() - t0))
-    if trace:
-        _write_trace(trace, rows)
-    return rows
+def _write_trace(comm, path, state):
+    if comm.rank == 0 and path:
+        with open(path, "w") as fh:
+            fh.write("iter,objective,elapsed_s\n")
+            for it, (obj, stats) in enumerate(zip(state.trace, state.iter_stats)):
+                fh.write(f"{it},{obj!r},{stats[0]:.6f}\n")
 
 
 # -- commands -----------------------------------------------------------------
@@ -215,19 +205,15 @@ def _cmd_nmf(comm, args):
     x = read_matrix(args.input, comm, dtype=_PRECISION[args.precision])
     state = nmf_init(x, args.rank, seed=args.seed)
     algorithm = nmf_apg if args.algorithm == "apg" else nmf_multiplicative
-
-    def step(it):
-        algorithm(state, 1)
-        return state.trace[-1]
-
-    rows = _trace_loop(step, args.iters, args.trace if comm.rank == 0 else None)
+    algorithm(state, args.iters)
+    _write_trace(comm, args.trace, state)
     if args.out_vt:
         write_matrix(args.out_vt, state.Vt)
     if args.out_w:
         write_matrix(args.out_w, state.W)
-    if comm.rank == 0 and rows:
-        print(f"nmf({args.algorithm}) rank={args.rank} iters={len(rows)} "
-              f"objective={rows[-1][1]:.6g}")
+    if comm.rank == 0 and state.trace:
+        print(f"nmf({args.algorithm}) rank={args.rank} iters={len(state.trace)} "
+              f"objective={state.trace[-1]:.6g}")
     return 0
 
 
@@ -237,16 +223,12 @@ def _cmd_mds(comm, args):
     y = empty((n, n), comm, x.dtype)
     pairwise_euclidean(y, x, chunk=args.chunk)
     state = mds_init(y, args.embed_dim, seed=args.seed, perturb=args.perturb)
-
-    def step(it):
-        mds_fit(state, 1)
-        return state.trace[-1]
-
-    rows = _trace_loop(step, args.iters, args.trace if comm.rank == 0 else None)
+    mds_fit(state, args.iters)
+    _write_trace(comm, args.trace, state)
     if args.out:
         write_matrix(args.out, state.theta)
-    if comm.rank == 0 and rows:
-        print(f"mds q={args.embed_dim} iters={len(rows)} stress={rows[-1][1]:.6g}")
+    if comm.rank == 0 and state.trace:
+        print(f"mds q={args.embed_dim} iters={len(state.trace)} stress={state.trace[-1]:.6g}")
     return 0
 
 
@@ -272,24 +254,14 @@ def _cmd_cox(comm, args):
     else:
         y, delta = _synthetic_survival(m, args.seed, dtype)
     state = cox_init(x, y, delta, lam=args.lam, sigma=args.sigma, ties=args.ties)
-    monitor = ConvergenceMonitor() if args.monitor else None
-    # cox_fit records each entry, then stops without stepping if the monitor
-    # fires on it; a copy fed the same entries fires on the same, last, row.
-    seen = ConvergenceMonitor()
-
-    def step(it):
-        if monitor is not None and it and converged(seen, state.trace[-1]):
-            return None
-        cox_fit(state, 1, monitor=monitor)
-        return state.trace[-1]
-
-    rows = _trace_loop(step, args.iters, args.trace if comm.rank == 0 else None)
+    cox_fit(state, args.iters, monitor=ConvergenceMonitor() if args.monitor else None)
+    _write_trace(comm, args.trace, state)
     if args.out:
         write_matrix(args.out, state.beta)
-    nnz = int(np.count_nonzero(gather_full(state.beta)))
-    if comm.rank == 0 and rows:
-        print(f"cox lambda={args.lam:g} iters={len(rows)} "
-              f"objective={rows[-1][1]:.6g} nonzeros={nnz}")
+    nnz = reduce_all(state.beta, transform=np.count_nonzero)
+    if comm.rank == 0 and state.trace:
+        print(f"cox lambda={args.lam:g} iters={len(state.trace)} "
+              f"objective={state.trace[-1]:.6g} nonzeros={nnz}")
     return 0
 
 
@@ -303,26 +275,19 @@ def _cmd_bench(comm, args):
         a_dense = gen.random((args.rows, args.inner))
         b_dense = gen.random(args.inner) if vector else gen.random((args.inner, args.cols))
         c, a, b = scenario_operands(row, a_dense, b_dense, comm)
-        t0 = time.perf_counter()
-        matmul(c, a, b)
-        elapsed = time.perf_counter() - t0
-        want = a_dense @ b_dense
-        dev = float(np.max(np.abs(materialize(c).reshape(want.shape) - want)))
-        if comm.rank == 0:
-            print(f"matmul scenario {row}: max abs deviation {dev:.3e} "
-                  f"({elapsed * 1e3:.2f} ms)")
-        return 0
-    # scan benchmark
-    data = gen.random((args.rows, args.cols))
-    d = distribute(data if comm.rank == 0 else None, comm)
-    out = empty(d.shape, comm, d.dtype)
+        label, want, op = f"matmul scenario {row}", a_dense @ b_dense, partial(matmul, c, a, b)
+    else:
+        data = gen.random((args.rows, args.cols))
+        d = distribute(data if comm.rank == 0 else None, comm)
+        c = empty(d.shape, comm, d.dtype)
+        label, want = f"scan axis={args.axis}", np.cumsum(data, axis=args.axis)
+        op = partial(_scan, c, d, axis=args.axis)
     t0 = time.perf_counter()
-    _scan(out, d, axis=args.axis)
+    op()
     elapsed = time.perf_counter() - t0
-    dev = float(np.max(np.abs(gather_full(out) - np.cumsum(data, axis=args.axis))))
+    dev = float(np.max(np.abs(materialize(c).reshape(want.shape) - want)))
     if comm.rank == 0:
-        print(f"scan axis={args.axis}: max abs deviation {dev:.3e} "
-              f"({elapsed * 1e3:.2f} ms)")
+        print(f"{label}: max abs deviation {dev:.3e} ({elapsed * 1e3:.2f} ms)")
     return 0
 
 
@@ -416,7 +381,7 @@ def run(argv=None):
     except CollectiveContractError as exc:
         print(f"error: collective contract violation: {exc}", file=sys.stderr)
         return 3
-    except (OSError, FormatError, ValueError, CommInitError, CommError) as exc:
+    except (OSError, ValueError, CommError, DegenerateConfigError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

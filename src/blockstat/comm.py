@@ -204,11 +204,26 @@ class Communicator:
 
     def __init__(self):
         self._seq = 0
+        self._counts = [[op.name.lower(), 0, 0, 0.0] for op in _Op]  # name, calls, bytes, s
 
     def _next_seq(self):
         """Number the next collective; called after its arguments are checked."""
         self._seq += 1
         return self._seq
+
+    def _counted(self, header, payload, out):
+        """``_transact``, counting the call, the bytes of ``out`` and the seconds."""
+        start = time.perf_counter()
+        self._transact(header, payload, out)
+        count = self._counts[header.op]  # indexed by op code
+        count[1] += 1
+        count[2] += 0 if out is None else out.nbytes
+        count[3] += time.perf_counter() - start
+
+    def stats(self):
+        """A copy of this rank's ``{op: {"calls", "bytes", "seconds"}}`` so far."""
+        return {name: {"calls": calls, "bytes": nbytes, "seconds": seconds}
+                for name, calls, nbytes, seconds in self._counts}
 
     # -- collectives -------------------------------------------------------
 
@@ -219,7 +234,7 @@ class Communicator:
         flat = _flat(buf)
         header = _Header(_Op.BROADCAST, dtype=_DTYPE_CODES[flat.dtype], root=root,
                          recv_len=flat.size, seq=self._next_seq())
-        self._transact(header, flat if self.rank == root else None, flat)
+        self._counted(header, flat if self.rank == root else None, flat)
         _writeback(buf, flat)
 
     def allreduce(self, buf, op=ReduceOp.SUM):
@@ -227,7 +242,7 @@ class Communicator:
         flat = _flat(buf)
         header = _Header(_Op.ALLREDUCE, dtype=_DTYPE_CODES[flat.dtype], redop=op.value,
                          recv_len=flat.size, seq=self._next_seq())
-        self._transact(header, flat, flat)
+        self._counted(header, flat, flat)
         _writeback(buf, flat)
 
     def allgatherv(self, send, recv, counts):
@@ -239,7 +254,7 @@ class Communicator:
         rflat = _flat(recv)
         header = _Header(_Op.ALLGATHERV, dtype=_DTYPE_CODES[sflat.dtype], send_len=sflat.size,
                          recv_len=rflat.size, counts=counts, seq=self._next_seq())
-        self._transact(header, sflat, rflat)
+        self._counted(header, sflat, rflat)
         _writeback(recv, rflat)
 
     def scatterv(self, send, recv, counts, root=0):
@@ -254,12 +269,12 @@ class Communicator:
         header = _Header(_Op.SCATTERV, dtype=_DTYPE_CODES[rflat.dtype], root=root,
                          send_len=-1 if sflat is None else sflat.size, recv_len=rflat.size,
                          counts=counts, seq=self._next_seq())
-        self._transact(header, sflat, rflat)
+        self._counted(header, sflat, rflat)
         _writeback(recv, rflat)
 
     def barrier(self):
         """Block until every rank has entered."""
-        self._transact(_Header(_Op.BARRIER, seq=self._next_seq()), None, None)
+        self._counted(_Header(_Op.BARRIER, seq=self._next_seq()), None, None)
 
     # -- backend hooks ------------------------------------------------------
 

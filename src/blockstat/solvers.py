@@ -19,6 +19,7 @@ independent of the rank count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import time
 import warnings
 
 import numpy as np
@@ -70,6 +71,18 @@ def converged(monitor, f_new):
     return abs(h[-1] - h[-1 - monitor.window]) / (abs(h[-1]) + 1.0) < monitor.rel_tol
 
 
+def _totals(comm):
+    """``(now, seconds in collectives, collectives)`` so far on ``comm``."""
+    ops = comm.stats().values()
+    return time.perf_counter(), sum(c["seconds"] for c in ops), sum(c["calls"] for c in ops)
+
+
+def _record(state, objective, comm, start):
+    """Append ``objective`` to ``trace``, and ``_totals`` since ``start`` to ``iter_stats``."""
+    state.trace.append(objective)
+    state.iter_stats.append(tuple(b - a for a, b in zip(start, _totals(comm))))
+
+
 # ---------------------------------------------------------------------------
 # Nonnegative matrix factorization
 # ---------------------------------------------------------------------------
@@ -91,6 +104,7 @@ class NmfState:
     tmp: np.ndarray        # r x m replicated matmul staging
     X_sqnorm: float        # ||X||_F^2, the fixed term of the traced objective
     trace: list = field(default_factory=list)
+    iter_stats: list = field(default_factory=list)  # per entry: (s, collective s, collectives)
 
 
 _NMF_EPS = 1e-10  # keeps both update rules' denominators away from zero
@@ -163,6 +177,7 @@ def _apg_step(factor, data, model, gram):
 def _nmf_run(s, iters, update):
     """Step Vt, then W, by ``update(factor, data, model, gram)`` and trace each
     iterate; ``data`` is the product with X, ``model`` with the Gram matrix."""
+    start = _totals(s.X.comm)
     matmul(s.WWt, s.W, transpose(s.W))
     for _ in range(iters):
         matmul(s.WXt, s.W, transpose(s.X), tmp=s.tmp)
@@ -173,7 +188,7 @@ def _nmf_run(s, iters, update):
         matmul(s.VtVW, s.VtV, s.W)
         update(s.W, s.VtX, s.VtVW, s.VtV)
         matmul(s.WWt, s.W, transpose(s.W))
-        s.trace.append(_nmf_gram_objective(s))
+        _record(s, _nmf_gram_objective(s), s.X.comm, start)
     return s
 
 
@@ -215,6 +230,7 @@ class MdsState:
     theta_new: np.ndarray      # q x (hi - lo) Guttman transform of this rank's columns
     perturb: bool = False
     trace: list = field(default_factory=list)
+    iter_stats: list = field(default_factory=list)
 
 
 def mds_init(y, ndim, seed=None, perturb=False):
@@ -291,10 +307,11 @@ def mds_fit(state, iters):
     before ``theta`` changes.
     """
     s = state
+    start = _totals(s.Y.comm)
     for _ in range(iters):
         part = _guttman_pass(s.theta, s.Y, s.theta_new, s.perturb)
         s.Y.comm.allreduce(part, ReduceOp.SUM)
-        s.trace.append(part[0].item())
+        _record(s, part[0].item(), s.Y.comm, start)
         if part[1] > 0 and not s.perturb:
             raise DegenerateConfigError("coincident embedding points; rerun with perturb=True")
         s.theta.local[...] = s.theta_new
@@ -327,6 +344,7 @@ class CoxState:
     tied: bool             # some observed times tie, so cuts and starts are not arange
     ties_buf: np.ndarray   # (m,) W[cuts], then t[starts], if tied; None otherwise
     trace: list = field(default_factory=list)
+    iter_stats: list = field(default_factory=list)
 
 
 def cox_init(x, y, delta, lam, sigma=None, ties="none"):
@@ -459,6 +477,7 @@ def cox_fit(state, iters, monitor=None, trace_every=1):
     s = state
     sigma, lam = s.sigma, s.lam
     t = s.work
+    start = _totals(s.X.comm)
     for it in range(iters):
         np.matmul(s.X.local, s.beta.local, out=s.Xbeta)
         s.reduced[-1] = np.add.reduce(np.abs(s.beta.local))
@@ -467,7 +486,7 @@ def cox_fit(state, iters, monitor=None, trace_every=1):
         Wc = _risk_sums(s)
         if trace_every and it % trace_every == 0:
             obj = -_cox_loglik(s, Wc) + lam * s.reduced[-1].item()
-            s.trace.append(obj)
+            _record(s, obj, s.X.comm, start)
             if monitor is not None and converged(monitor, obj):
                 break
         np.divide(s.delta, Wc, out=t)

@@ -11,7 +11,18 @@ import pytest
 
 from blockstat.cli import FormatError, read_matrix, run, write_matrix
 from blockstat.comm import run_inproc
-from blockstat.distarray import distribute, gather_full
+from blockstat.distarray import distribute, empty, gather_full
+from blockstat.distlinalg import pairwise_euclidean
+from blockstat.solvers import (
+    ConvergenceMonitor,
+    cox_fit,
+    cox_init,
+    mds_fit,
+    mds_init,
+    nmf_apg,
+    nmf_init,
+    nmf_multiplicative,
+)
 from conftest import free_port, rng
 
 
@@ -282,6 +293,79 @@ def test_mds_stress_trace(tmp_path):
                 "--backend", "inproc:3"]) == 0
     objectives = [r[1] for r in _read_trace(trace_path)]
     assert np.all(np.diff(objectives) <= 1e-10)
+
+
+def test_mds_collapsing_points_exit_1_unless_perturbed(tmp_path):
+    # nine identical points: the embedding collapses onto its centroid
+    path = str(tmp_path / "ones.dsta")
+    write_matrix(path, np.ones((3, 9)))
+    argv = ["mds", "--input", path, "--embed-dim", "2", "--iters", "100", "--backend", "inproc:2"]
+    assert run(argv) == 1
+    assert run(argv + ["--perturb"]) == 0
+
+
+def test_cox_nonfinite_data_exit_1(tmp_path):
+    path = str(tmp_path / "nan.dsta")
+    write_matrix(path, np.full((6, 3), np.nan))
+    assert run(["cox", "--input", path, "--lambda", "0.1", "--sigma", "0.1",
+                "--backend", "inproc:2"]) == 1
+
+
+def test_cox_counts_nonzeros_with_more_ranks_than_columns(tmp_path, capsys):
+    x_path, beta_path = str(tmp_path / "X.dsta"), str(tmp_path / "beta.dsta")
+    write_matrix(x_path, rng(41).standard_normal((40, 3)))
+    assert run(["cox", "--input", x_path, "--lambda", "0.02", "--sigma", "0.02",
+                "--iters", "60", "--out", beta_path, "--backend", "inproc:5"]) == 0
+    nonzeros = int(capsys.readouterr().out.split("nonzeros=")[1])
+    beta = run_inproc(1, lambda comm: gather_full(read_matrix(beta_path, comm)))[0]
+    assert nonzeros == np.count_nonzero(beta) > 0
+
+
+def _library_trace(comm, command, paths, monitor):
+    x = read_matrix(paths["X"], comm)
+    if command in ("multiplicative", "apg"):
+        state = nmf_init(x, 2, seed=3)
+        (nmf_apg if command == "apg" else nmf_multiplicative)(state, 25)
+    elif command == "mds":
+        y = empty((x.shape[1], x.shape[1]), comm)
+        pairwise_euclidean(y, x, chunk=64)
+        state = mds_init(y, 2, seed=3)
+        mds_fit(state, 25)
+    else:
+        times, events = (gather_full(read_matrix(paths[k], comm)).reshape(-1)
+                         for k in ("time", "events"))
+        state = cox_init(x, times, events, lam=0.02, sigma=0.02)
+        cox_fit(state, 3000 if monitor else 40, monitor=ConvergenceMonitor() if monitor else None)
+    return state.trace
+
+
+@pytest.mark.parametrize("command,argv", [
+    ("multiplicative", ["nmf", "--rank", "2", "--iters", "25", "--seed", "3"]),
+    ("apg", ["nmf", "--rank", "2", "--iters", "25", "--seed", "3", "--algorithm", "apg"]),
+    ("mds", ["mds", "--embed-dim", "2", "--iters", "25", "--seed", "3"]),
+    ("cox", ["cox", "--lambda", "0.02", "--sigma", "0.02", "--iters", "40"]),
+    ("cox-monitor", ["cox", "--lambda", "0.02", "--sigma", "0.02", "--iters", "3000", "--monitor"]),
+])
+def test_trace_is_one_library_call(tmp_path, command, argv):
+    gen = rng(43)
+    paths = {k: str(tmp_path / f"{k}.dsta") for k in ("X", "time", "events")}
+    if command.startswith("cox"):
+        write_matrix(paths["X"], gen.standard_normal((30, 4)))
+        write_matrix(paths["time"], np.arange(30, 0, -1.0))
+        write_matrix(paths["events"], (gen.random(30) > 0.3).astype(np.float64))
+        argv = argv + ["--time", paths["time"], "--events", paths["events"]]
+    else:
+        write_matrix(paths["X"], gen.random((5, 9)))
+    trace_path = tmp_path / "trace.csv"
+    assert run(argv + ["--input", paths["X"], "--trace", str(trace_path),
+                       "--backend", "inproc:3"]) == 0
+    rows = _read_trace(trace_path)
+    monitor = command == "cox-monitor"
+    want = run_inproc(3, _library_trace, command.split("-")[0], paths, monitor)[0]
+    assert [r[0] for r in rows] == list(range(len(want)))
+    assert [r[1] for r in rows] == want  # bitwise: one call, as the library makes it
+    assert np.all(np.diff([r[2] for r in rows]) >= 0)
+    assert 11 < len(rows) < 3000 if monitor else len(rows) in (25, 40)
 
 
 def test_bench_matmul_reports_tiny_deviation(capsys):

@@ -679,3 +679,36 @@ def test_hub_sends_a_broadcast_root_an_empty_reply():
         reply = b"".join(iter(lambda: leaf_end.recv(64), b""))
     assert buf.tobytes() == payload.tobytes()
     assert reply == struct.pack("<QB", 1, 0)  # its length and status byte, no payload
+
+
+# -- counters -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_stats_count_each_collective(world_runner, size):
+    counts = tuple(range(1, size + 1))  # rank r sends and receives r + 1 values
+
+    def fn(comm):
+        before = comm.stats()
+        bcast = np.arange(4.0)
+        comm.broadcast(bcast, root=size - 1)
+        reduced = np.ones(3, dtype=np.int64)
+        comm.allreduce(reduced)
+        gathered = np.empty(sum(counts))
+        comm.allgatherv(np.ones(counts[comm.rank]), gathered, counts)
+        part = np.empty(counts[comm.rank], dtype=np.float32)
+        comm.scatterv(np.ones(sum(counts), np.float32) if comm.rank == 0 else None, part, counts)
+        comm.barrier()
+        stats = comm.stats()
+        stats["allreduce"]["calls"] = 99
+        del stats["barrier"]
+        results = {"broadcast": bcast, "allreduce": reduced, "allgatherv": gathered,
+                   "scatterv": part, "barrier": np.empty(0)}
+        return before, comm.stats(), {op: buf.nbytes for op, buf in results.items()}
+
+    for before, stats, nbytes in world_runner(size, fn):
+        assert set(before) == set(stats) == set(nbytes)
+        for op, want in nbytes.items():
+            assert before[op] == {"calls": 0, "bytes": 0, "seconds": 0.0}
+            assert stats[op]["calls"] == 1 and stats[op]["bytes"] == want, op
+            assert stats[op]["seconds"] >= 0.0

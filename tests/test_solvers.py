@@ -756,3 +756,79 @@ def test_cox_nonfinite_input_raises():
 
     with pytest.raises(NumericError):
         run_inproc(1, fn)
+
+
+# -- per-iteration records --------------------------------------------------------
+
+
+def _check_records(state):
+    """One iter_stats entry per trace entry; clocks that only move forward, with
+    the seconds in collectives inside the elapsed seconds."""
+    assert len(state.iter_stats) == len(state.trace)
+    for seconds, in_collectives, calls in state.iter_stats:
+        assert 0.0 <= in_collectives <= seconds + 1e-9 and isinstance(calls, int)
+    assert np.all(np.diff([s for s, _, _ in state.iter_stats]) >= 0)
+    return [calls for _, _, calls in state.iter_stats]
+
+
+def _records(comm, solver):
+    gen = rng(96)
+    if solver in ("multiplicative", "apg"):
+        state = nmf_init(_dist(comm, gen.random((6, 7))), 2, seed=1)
+        fit = nmf_apg if solver == "apg" else nmf_multiplicative
+        fit(state, 4)
+        first = _check_records(state)
+        state.trace.clear()
+        state.iter_stats.clear()
+        fit(state, 3)
+        return first, _check_records(state)
+    if solver == "mds":
+        y = empty((7, 7), comm)
+        pairwise_euclidean(y, _dist(comm, gen.standard_normal((3, 7))))
+        state = mds_init(y, 2, seed=4)
+        mds_fit(state, 4)
+    else:
+        x_d, y_d, delta_d = _make_survival(gen, 9, 3)
+        state = cox_init(_dist(comm, x_d), y_d, delta_d, lam=0.01)
+        cox_fit(state, 4)
+    return (_check_records(state),)
+
+
+@pytest.mark.parametrize("solver,want", [
+    ("multiplicative", ([6, 11, 16, 21], [6, 11, 16])),  # 5 per iteration, 1 more per call
+    ("apg", ([6, 11, 16, 21], [6, 11, 16])),
+    ("mds", ([2, 4, 6, 8],)),
+    ("cox", ([1, 2, 3, 4],)),
+])
+@pytest.mark.parametrize("backend", ["inproc", "socket"])
+def test_iter_stats_count_collectives_from_the_call_start(solver, want, backend):
+    runner = run_inproc if backend == "inproc" else run_socket
+    for calls in runner(2, _records, solver):
+        assert calls == want
+
+
+@pytest.mark.parametrize("trace_every,want", [(0, []), (1, list(range(1, 11))),
+                                              (3, [1, 4, 7, 10])])
+def test_cox_trace_every_thins_iter_stats_with_the_trace(trace_every, want):
+    x_d, y_d, delta_d = _make_survival(rng(97), 9, 3)
+
+    def fn(comm):
+        state = cox_init(_dist(comm, x_d), y_d, delta_d, lam=0.01)
+        cox_fit(state, 10, trace_every=trace_every)
+        return _check_records(state)
+
+    for calls in run_inproc(2, fn):
+        assert calls == want
+
+
+def test_cox_monitor_stop_keeps_one_record_per_entry():
+    # lambda 1e9 keeps beta at 0, so the default window of 10 fires on entry 11
+    x_d, y_d, delta_d = _make_survival(rng(98), 9, 3)
+
+    def fn(comm):
+        state = cox_init(_dist(comm, x_d), y_d, delta_d, lam=1e9)
+        cox_fit(state, 1000, monitor=ConvergenceMonitor())
+        return _check_records(state)
+
+    for calls in run_inproc(2, fn):
+        assert calls == list(range(1, 12))
