@@ -320,6 +320,8 @@ def opnorm(a, which="l2_power", tol=1e-6, maxiter=1000):
         matmul(w, TransposedView(a), u)      # w = A^T A v
         w -= beta * v_prev
         alphas.append(float(v @ w))
+        if not np.isfinite(alphas[-1]):  # u and w are replicated, so every rank raises
+            raise ValueError("opnorm: the matrix holds nonfinite entries")
         w -= alphas[-1] * v
         beta = float(np.linalg.norm(w))
         tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)

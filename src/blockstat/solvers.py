@@ -96,12 +96,13 @@ class NmfState:
     Vt: DistArray          # r x m, transpose of the left factor
     W: DistArray           # r x n
     WXt: DistArray         # r x m
-    WWt: np.ndarray        # r x r replicated W W^t, kept current with W during a call
+    reduced: np.ndarray    # (r^2 + 1,) replicated W W^t, then <Vt X, W>: one allreduce
+    WWt: np.ndarray        # r x r F-order view of reduced[:-1], kept current with W
     WWtVt: DistArray       # r x m
     VtX: DistArray         # r x n
-    VtV: np.ndarray        # r x r replicated
+    VtV: np.ndarray        # r x r replicated, formed from the Vt gathered into tmp
     VtVW: DistArray        # r x n
-    tmp: np.ndarray        # r x m replicated matmul staging
+    tmp: np.ndarray        # r x m replicated matmul staging; all of Vt after the VtX product
     X_sqnorm: float        # ||X||_F^2, the fixed term of the traced objective
     trace: list = field(default_factory=list)
     iter_stats: list = field(default_factory=list)  # per entry: (s, collective s, collectives)
@@ -112,8 +113,8 @@ _NMF_EPS = 1e-10  # keeps both update rules' denominators away from zero
 
 def nmf_init(x, rank, seed=None):
     """Allocate NMF state with uniform(0, 1) factors generated at rank 0."""
-    if x.ndim != 2:
-        raise ValueError("NMF expects a 2-D data matrix")
+    if x.ndim != 2 or rank < 1:
+        raise ValueError("NMF expects a 2-D data matrix and a rank of at least 1")
     if reduce_all(x, ReduceOp.MIN) < 0:
         raise ValueError("NMF requires nonnegative data")
     m, n = x.shape
@@ -123,10 +124,12 @@ def nmf_init(x, rank, seed=None):
     w = empty((rank, n), comm, dt)
     rand_fill(vt, seed=seed, common_init=True)
     rand_fill(w, seed=None if seed is None else seed + 1, common_init=True)
+    reduced = np.empty(rank * rank + 1, dtype=dt)
     return NmfState(
         X=x, Vt=vt, W=w,
         WXt=empty((rank, m), comm, dt),
-        WWt=np.empty((rank, rank), dtype=dt, order="F"),
+        reduced=reduced,
+        WWt=reduced[:-1].reshape((rank, rank), order="F"),
         WWtVt=empty((rank, m), comm, dt),
         VtX=empty((rank, n), comm, dt),
         VtV=np.empty((rank, rank), dtype=dt, order="F"),
@@ -140,25 +143,12 @@ def nmf_objective(x, vt, w):
     """Squared Frobenius norm of ``X - V W`` (V given transposed).
 
     Forms the m x n residual explicitly: the exact reference for the
-    solvers' traced objective (see :func:`_nmf_gram_objective`).
+    solvers' traced objective (see :func:`nmf_multiplicative`).
     """
     resid = empty(x.shape, x.comm, x.dtype)
     matmul(resid, transpose(vt), w)
     np.subtract(x.local, resid.local, out=resid.local)
     return dot(resid, resid)
-
-
-def _nmf_gram_objective(s):
-    """``||X - V W||_F^2`` as ``||X||^2 - 2 <Vt X, W> + <Vt V, W W^t>``.
-
-    Uses only the r-row products the W-half of an update leaves in ``s``
-    (``VtX``, ``VtV``, and ``WWt`` of the new ``W``): one scalar allreduce
-    instead of an m x n product.  Cancellation costs relative accuracy once
-    the objective is much smaller than ``||X||^2``; the value is clamped at 0.
-    """
-    cross = dot(s.VtX, s.W)
-    gram = float(np.dot(np.ravel(s.VtV, order="F"), np.ravel(s.WWt, order="F")))
-    return max(s.X_sqnorm - 2.0 * cross + gram, 0.0)
 
 
 def _multiplicative_step(factor, data, model, gram):
@@ -176,19 +166,25 @@ def _apg_step(factor, data, model, gram):
 
 def _nmf_run(s, iters, update):
     """Step Vt, then W, by ``update(factor, data, model, gram)`` and trace each
-    iterate; ``data`` is the product with X, ``model`` with the Gram matrix."""
-    start = _totals(s.X.comm)
+    iterate; ``data`` is the product with X, ``model`` with the Gram matrix.
+    Three collectives per iteration (``WXt``, Vt into ``tmp``, ``reduced``),
+    and one per call, as a caller may have changed ``W`` since ``WWt``."""
+    comm = s.X.comm
+    start = _totals(comm)
     matmul(s.WWt, s.W, transpose(s.W))
     for _ in range(iters):
         matmul(s.WXt, s.W, transpose(s.X), tmp=s.tmp)
         matmul(s.WWtVt, s.WWt, s.Vt)
         update(s.Vt, s.WXt, s.WWtVt, s.WWt)
         matmul(s.VtX, s.Vt, s.X, tmp=s.tmp)
-        matmul(s.VtV, s.Vt, transpose(s.Vt))
+        np.matmul(s.tmp, s.tmp.T, out=s.VtV)
         matmul(s.VtVW, s.VtV, s.W)
         update(s.W, s.VtX, s.VtVW, s.VtV)
-        matmul(s.WWt, s.W, transpose(s.W))
-        _record(s, _nmf_gram_objective(s), s.X.comm, start)
+        np.matmul(s.W.local, s.W.local.T, out=s.WWt)
+        s.reduced[-1] = np.dot(np.ravel(s.VtX.local, order="F"), np.ravel(s.W.local, order="F"))
+        comm.allreduce(s.reduced, ReduceOp.SUM)
+        gram = float(np.dot(np.ravel(s.VtV, order="F"), s.reduced[:-1]))
+        _record(s, max(s.X_sqnorm - 2.0 * s.reduced[-1].item() + gram, 0.0), comm, start)
     return s
 
 
@@ -196,9 +192,10 @@ def nmf_multiplicative(state, iters):
     """Multiplicative updates; the objective is nonincreasing.
 
     ``trace`` entry k is the objective at the iterate update k produced,
-    from the Gram identity of :func:`_nmf_gram_objective` (no m x n work;
-    :func:`nmf_objective` is the exact alternative).  ``X`` must not be
-    modified after :func:`nmf_init`, which checks it and caches ``||X||^2``.
+    ``||X||^2 - 2 <Vt X, W> + <Vt V, W W^t>`` from r-row products the update
+    holds (no m x n work; :func:`nmf_objective` is exact), clamped at 0, as
+    cancellation costs accuracy once it is far below ``||X||^2``.  ``X`` must
+    not be modified after :func:`nmf_init`, which checks it and caches ``||X||^2``.
     """
     return _nmf_run(state, iters, _multiplicative_step)
 

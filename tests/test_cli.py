@@ -311,6 +311,14 @@ def test_cox_nonfinite_data_exit_1(tmp_path):
                 "--backend", "inproc:2"]) == 1
 
 
+def test_cox_nonfinite_data_without_sigma_exit_1(tmp_path, capsys):
+    # the default step size runs opnorm(X, "l2_power") first
+    path = str(tmp_path / "nan.dsta")
+    write_matrix(path, np.full((6, 3), np.nan))
+    assert run(["cox", "--input", path, "--lambda", "0.1", "--backend", "inproc:2"]) == 1
+    assert "nonfinite" in capsys.readouterr().err
+
+
 def test_cox_counts_nonzeros_with_more_ranks_than_columns(tmp_path, capsys):
     x_path, beta_path = str(tmp_path / "X.dsta"), str(tmp_path / "beta.dsta")
     write_matrix(x_path, rng(41).standard_normal((40, 3)))
@@ -391,6 +399,12 @@ def test_usage_error_exit_2():
 
 def test_missing_input_exit_1(tmp_path):
     assert run(["nmf", "--input", str(tmp_path / "nope.dsta"), "--rank", "2"]) == 1
+
+
+def test_nmf_rank_zero_exit_1(tmp_path):
+    path = str(tmp_path / "X.dsta")
+    assert run(["gen", "--rows", "4", "--cols", "5", "--seed", "1", "--out", path]) == 0
+    assert run(["nmf", "--input", path, "--rank", "0", "--backend", "inproc:2"]) == 1
 
 
 def test_dtype_mismatch_exit_1(tmp_path):

@@ -19,7 +19,7 @@ from blockstat.distlinalg import (
     pairwise_euclidean,
 )
 from blockstat.testing import materialize, scenario_operands, tmp_shape
-from conftest import rng
+from conftest import rng, run_socket
 
 
 def _dist(comm, data):
@@ -375,6 +375,19 @@ def test_opnorm_empty_rejected():
 
     with pytest.raises(ShapeError):
         run_inproc(2, fn)
+
+
+def _l2_power_rejects(comm, data):
+    with pytest.raises(ValueError, match="nonfinite"):
+        opnorm(_dist(comm, data), "l2_power")
+    return True
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("backend,p", [("inproc", 1), ("inproc", 2), ("socket", 2)])
+def test_opnorm_l2_power_nonfinite_raises_on_every_rank(value, backend, p):
+    runner = run_inproc if backend == "inproc" else run_socket
+    assert runner(p, _l2_power_rejects, np.full((6, 3), value)) == [True] * p
 
 
 # -- pairwise distances ---------------------------------------------------------

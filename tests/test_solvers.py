@@ -142,6 +142,15 @@ def test_nmf_rejects_negative_data():
 
 
 @pytest.mark.parametrize("p", [1, 2])
+def test_nmf_init_rejects_rank_zero(p):
+    def fn(comm):
+        nmf_init(_dist(comm, np.ones((3, 4))), 0, seed=1)
+
+    with pytest.raises(ValueError, match="rank"):
+        run_inproc(p, fn)
+
+
+@pytest.mark.parametrize("p", [1, 2])
 def test_nmf_init_rejects_one_negative_entry(p):
     data = np.ones((3, 5))
     data[2, 4] = -1e-3  # last column: owned by the last rank at p = 2
@@ -202,8 +211,31 @@ def test_nmf_trace_matches_exact_objective(algorithm, p):
         np.testing.assert_allclose(trace, exact, rtol=1e-10)
 
 
+@pytest.mark.parametrize("algorithm", [nmf_multiplicative, nmf_apg])
+@pytest.mark.parametrize("p", [1, 2, 4])
+def test_nmf_float32_trace_descends_near_exact_objective(algorithm, p):
+    # the cross term <Vt X, W> is summed across ranks in float32
+    def fn(comm):
+        from blockstat.distarray import rand_fill
+
+        x = empty((40, 30), comm, np.float32)
+        rand_fill(x, seed=62, common_init=True)
+        state = nmf_init(x, 4, seed=63)
+        exact = []
+        for _ in range(50):
+            algorithm(state, 1)
+            exact.append(nmf_objective(state.X, state.Vt, state.W))
+        return state.trace, exact, state.X_sqnorm
+
+    for trace, exact, x_sqnorm in run_inproc(p, fn):
+        assert len(trace) == 50
+        assert np.all(np.diff(trace) <= 0.0)
+        bound = 8 * np.finfo(np.float32).eps * x_sqnorm
+        assert np.max(np.abs(np.subtract(trace, exact))) <= bound
+
+
 def test_nmf_multiplicative_exact_factorization_trace_clamps_at_zero():
-    gen = rng(30)
+    gen = rng(32)
     vt_d = gen.integers(1, 4, size=(2, 5)).astype(np.float64)
     w_d = gen.integers(1, 4, size=(2, 6)).astype(np.float64)
     x_d = vt_d.T @ w_d  # eps in the update moves the factors off it by ~1e-12
@@ -795,8 +827,8 @@ def _records(comm, solver):
 
 
 @pytest.mark.parametrize("solver,want", [
-    ("multiplicative", ([6, 11, 16, 21], [6, 11, 16])),  # 5 per iteration, 1 more per call
-    ("apg", ([6, 11, 16, 21], [6, 11, 16])),
+    ("multiplicative", ([4, 7, 10, 13], [4, 7, 10])),  # 3 per iteration, 1 more per call
+    ("apg", ([4, 7, 10, 13], [4, 7, 10])),
     ("mds", ([2, 4, 6, 8],)),
     ("cox", ([1, 2, 3, 4],)),
 ])
@@ -805,6 +837,34 @@ def test_iter_stats_count_collectives_from_the_call_start(solver, want, backend)
     runner = run_inproc if backend == "inproc" else run_socket
     for calls in runner(2, _records, solver):
         assert calls == want
+
+
+def _nmf_op_split(comm, algorithm, iters):
+    state = nmf_init(_dist(comm, rng(99).random((6, 7))), 2, seed=1)
+    before = comm.stats()
+    algorithm(state, iters)
+    after = comm.stats()
+    return {op: (after[op]["calls"] - before[op]["calls"],
+                 after[op]["bytes"] - before[op]["bytes"]) for op in after}
+
+
+@pytest.mark.parametrize("algorithm", [nmf_multiplicative, nmf_apg])
+@pytest.mark.parametrize("backend", ["inproc", "socket"])
+def test_nmf_call_splits_into_two_allreduces_and_one_allgatherv_per_iteration(
+        algorithm, backend):
+    # m = 6, n = 7, r = 2: per iteration an allreduce of r m (W Xt) and one of
+    # r^2 + 1 (W Wt and <Vt X, W>), and an allgatherv of r m (Vt); per call
+    # one allreduce of r^2 (W Wt)
+    runner = run_inproc if backend == "inproc" else run_socket
+    m, r, iters = 6, 2, 3
+    for split in runner(2, _nmf_op_split, algorithm, iters):
+        assert split == {
+            "broadcast": (0, 0),
+            "allreduce": (2 * iters + 1, 8 * (iters * (r * m + r * r + 1) + r * r)),
+            "allgatherv": (iters, 8 * iters * r * m),
+            "scatterv": (0, 0),
+            "barrier": (0, 0),
+        }
 
 
 @pytest.mark.parametrize("trace_every,want", [(0, []), (1, list(range(1, 11))),
