@@ -393,27 +393,37 @@ def _sent_len(h, rank):
     return max(h.recv_len if whole else h.send_len, 0)
 
 
-def _send_frame(sock, head, payload=None):
+def _arm(sock, deadline):
+    """Give ``sock`` what is left until ``deadline`` (``time.monotonic``), if any, as
+    its timeout; a spent one leaves a microsecond, for data already there."""
+    if deadline is not None:
+        sock.settimeout(max(deadline - time.monotonic(), 1e-6))
+
+
+def _send_frame(sock, head, payload=None, deadline=None):
     """Send one frame: its 8-byte length, ``head`` (bytes), then the contiguous
     array ``payload`` straight from its memory."""
     view = memoryview(b"" if payload is None else payload).cast("B")
     head = struct.pack("<Q", len(head) + len(view)) + head
     try:
+        _arm(sock, deadline)
         sent = sock.sendmsg([head, view])
         for part in (head, view):  # finish what one sendmsg left unsent
             if sent < len(part):
+                _arm(sock, deadline)
                 sock.sendall(part[sent:])
             sent = max(sent - len(part), 0)
     except OSError as exc:
         raise CommError(f"socket send failed: {exc}") from exc
 
 
-def _recv_into(sock, buf, got=0, least=None):
+def _recv_into(sock, buf, got=0, least=None, deadline=None):
     """Fill the contiguous ``buf`` from byte ``got`` on, or stop once at least
     ``least`` bytes are in; returns the number of bytes in ``buf``."""
     view = memoryview(buf).cast("B")
     while got < (len(view) if least is None else least):
         try:
+            _arm(sock, deadline)
             n = sock.recv_into(view[got:])
         except socket.timeout as exc:
             raise CommError("socket receive timed out") from exc
@@ -425,22 +435,22 @@ def _recv_into(sock, buf, got=0, least=None):
     return got
 
 
-def _recv_exact(sock, n):
+def _recv_exact(sock, n, deadline=None):
     buf = bytearray(n)
-    _recv_into(sock, buf)
+    _recv_into(sock, buf, deadline=deadline)
     return buf
 
 
-def _recv_request(sock, rank, limit):
+def _recv_request(sock, rank, limit, deadline):
     """One leaf frame, whose length must match what its header says ``rank``
     sends and be at most ``limit`` bytes past the header; both are checked
     before the counts and payload are read into a new array."""
     head = bytearray(8 + _HEADER_LEN)
-    got = _recv_into(sock, head, least=8)  # the rest of head is in every valid frame
+    got = _recv_into(sock, head, least=8, deadline=deadline)  # the rest is in every valid frame
     (n,) = struct.unpack_from("<Q", head)
     if n < _HEADER_LEN:
         raise ValueError(f"frame of {n} bytes is shorter than a header")
-    _recv_into(sock, head, got)
+    _recv_into(sock, head, got, deadline=deadline)
     op, *fields, ncounts = struct.unpack_from(_HEADER_FMT, head, 8)
     header = _Header(_Op(op), *fields)
     count, wire = _sent_len(header, rank), _wire_dtype(header)
@@ -451,7 +461,7 @@ def _recv_request(sock, rank, limit):
             f"{header.op.name.lower()} from rank {rank} carries {n - _HEADER_LEN} bytes, "
             f"rank 0's header allows at most {limit}")
     body = np.empty(n - _HEADER_LEN, np.uint8)  # counts, then the payload 8-byte aligned
-    _recv_into(sock, body)
+    _recv_into(sock, body, deadline=deadline)
     if ncounts:
         header = header._replace(counts=struct.unpack_from(f"<{ncounts}Q", body))
     return header, body[8 * ncounts:].view(wire)
@@ -467,13 +477,16 @@ class _SocketCommunicator(Communicator):
         self._peers = peers  # rank 0: socket per rank 1..size-1
         self._hub = hub      # other ranks: connection to rank 0
         self._rejected = False  # rank 0 closed the world after a rejected frame
+        # each collective must end this long after it starts (the join timeout)
+        self._timeout = (hub or peers[1]).gettimeout() if size > 1 else None
 
     def _transact(self, header, payload, out):
+        deadline = None if self._timeout is None else time.monotonic() + self._timeout
         if self.rank == 0:
-            return self._transact_hub(header, payload, out)
-        return self._transact_leaf(header, payload, out)
+            return self._transact_hub(header, payload, out, deadline)
+        return self._transact_leaf(header, payload, out, deadline)
 
-    def _transact_hub(self, header, payload, out):
+    def _transact_hub(self, header, payload, out, deadline):
         if self._rejected:
             raise CommError("world closed after a rejected frame")
         headers = [header]
@@ -485,7 +498,7 @@ class _SocketCommunicator(Communicator):
         try:
             for r in range(1, self.size):
                 try:  # unknown op/dtype code, short header, length the header does not allow
-                    h, raw = _recv_request(self._peers[r], r, limit)
+                    h, raw = _recv_request(self._peers[r], r, limit, deadline)
                 except (KeyError, ValueError) as exc:
                     raise CommError(f"malformed frame from rank {r}: {exc!r}") from exc
                 headers.append(h)
@@ -494,7 +507,7 @@ class _SocketCommunicator(Communicator):
         except CollectiveContractError as exc:
             try:
                 for r in range(1, self.size):
-                    _send_frame(self._peers[r], b"\x01" + str(exc).encode())
+                    _send_frame(self._peers[r], b"\x01" + str(exc).encode(), deadline=deadline)
             finally:
                 if len(headers) < self.size:
                     self._close_world()
@@ -504,7 +517,7 @@ class _SocketCommunicator(Communicator):
             raise
         _deliver(results[0], out)
         for r in range(1, self.size):
-            _send_frame(self._peers[r], b"\x00", results[r])
+            _send_frame(self._peers[r], b"\x00", results[r], deadline)
 
     def _close_world(self):
         """Close every leaf's socket after a frame was left unread, whose rest
@@ -512,19 +525,19 @@ class _SocketCommunicator(Communicator):
         self._rejected = True
         self.close()
 
-    def _transact_leaf(self, header, payload, out):
-        _send_frame(self._hub, _pack_header(header), payload)
-        n, status = struct.unpack("<QB", _recv_exact(self._hub, 9))
+    def _transact_leaf(self, header, payload, out, deadline):
+        _send_frame(self._hub, _pack_header(header), payload, deadline)
+        n, status = struct.unpack("<QB", _recv_exact(self._hub, 9, deadline))
         if status != 0:
             if not 0 <= n - 1 <= _ERROR_REPLY_MAX:
                 raise CommError(f"hub error reply of {n - 1} bytes, over {_ERROR_REPLY_MAX}")
-            raise CollectiveContractError(_recv_exact(self._hub, n - 1).decode())
+            raise CollectiveContractError(_recv_exact(self._hub, n - 1, deadline).decode())
         root = header.op == _Op.BROADCAST and header.root == self.rank  # holds the result
         nbytes = 0 if out is None or root else out.nbytes
         if n - 1 != nbytes:
             raise CommError(f"hub reply holds {n - 1} payload bytes, expected {nbytes}")
         if nbytes:
-            _recv_into(self._hub, out)
+            _recv_into(self._hub, out, deadline=deadline)
 
     def close(self):
         if self._hub is not None:
@@ -629,9 +642,9 @@ def init(descriptor, timeout=30.0):
     ``inproc:<P>`` returns a list of P endpoints sharing one world (hand
     each to its own rank thread).  ``tcp:...,rank=<r>`` connects this
     process's single endpoint and returns it.  ``timeout`` (seconds) bounds
-    joining the world and every wait inside a collective on both backends;
-    a rank that waits longer raises :class:`RankAbortedError` (inproc) or
-    :class:`CommError` (tcp).
+    joining the world and each collective, from its start, on both backends;
+    a rank whose collective lasts longer raises :class:`RankAbortedError`
+    (inproc) or :class:`CommError` (tcp).
     """
     kind, arg, rank = _parse_descriptor(descriptor)
     if kind == "inproc":

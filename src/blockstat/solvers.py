@@ -90,19 +90,16 @@ def _record(state, objective, comm, start):
 
 @dataclass
 class NmfState:
-    """Factors (stored as Vt, W) plus the preallocated update workspaces."""
+    """Factors (stored as Vt, W) plus the replicated buffers of the two allreduces."""
 
     X: DistArray
     Vt: DistArray          # r x m, transpose of the left factor
     W: DistArray           # r x n
-    WXt: DistArray         # r x m
+    stage: np.ndarray      # r x (2m + r) replicated [W X^t | all of Vt | W W^t]: one allreduce
     reduced: np.ndarray    # (r^2 + 1,) replicated W W^t, then <Vt X, W>: one allreduce
     WWt: np.ndarray        # r x r F-order view of reduced[:-1], kept current with W
-    WWtVt: DistArray       # r x m
     VtX: DistArray         # r x n
-    VtV: np.ndarray        # r x r replicated, formed from the Vt gathered into tmp
-    VtVW: DistArray        # r x n
-    tmp: np.ndarray        # r x m replicated matmul staging; all of Vt after the VtX product
+    VtV: np.ndarray        # r x r replicated, formed from all of Vt in stage
     X_sqnorm: float        # ||X||_F^2, the fixed term of the traced objective
     trace: list = field(default_factory=list)
     iter_stats: list = field(default_factory=list)  # per entry: (s, collective s, collectives)
@@ -117,6 +114,10 @@ def nmf_init(x, rank, seed=None):
         raise ValueError("NMF expects a 2-D data matrix and a rank of at least 1")
     if reduce_all(x, ReduceOp.MIN) < 0:
         raise ValueError("NMF requires nonnegative data")
+    with np.errstate(over="ignore"):  # an overflow reads inf and is rejected below
+        x_sqnorm = dot(x, x)
+    if not np.isfinite(x_sqnorm):  # replicated, so every rank raises
+        raise ValueError("NMF requires finite data whose squared norm is finite")
     m, n = x.shape
     comm = x.comm
     dt = x.dtype
@@ -127,15 +128,12 @@ def nmf_init(x, rank, seed=None):
     reduced = np.empty(rank * rank + 1, dtype=dt)
     return NmfState(
         X=x, Vt=vt, W=w,
-        WXt=empty((rank, m), comm, dt),
+        stage=np.empty((rank, 2 * m + rank), dtype=dt, order="F"),
         reduced=reduced,
         WWt=reduced[:-1].reshape((rank, rank), order="F"),
-        WWtVt=empty((rank, m), comm, dt),
         VtX=empty((rank, n), comm, dt),
         VtV=np.empty((rank, rank), dtype=dt, order="F"),
-        VtVW=empty((rank, n), comm, dt),
-        tmp=np.empty((rank, m), dtype=dt, order="F"),
-        X_sqnorm=dot(x, x),
+        X_sqnorm=x_sqnorm,
     )
 
 
@@ -151,37 +149,41 @@ def nmf_objective(x, vt, w):
     return dot(resid, resid)
 
 
-def _multiplicative_step(factor, data, model, gram):
-    """Lee-Seung step ``factor * data / (model + eps)``."""
-    map_broadcast(factor, lambda f, num, den: f * num / (den + _NMF_EPS),
-                  factor, data, model)
+def _multiplicative_step(f, data, model, gram):
+    """Lee-Seung step ``f * data / (model + eps)``, in place."""
+    f[...] = f * data / (model + _NMF_EPS)
 
 
-def _apg_step(factor, data, model, gram):
-    """Projected step of size ``1 / (2 ||gram||_F)`` along ``model - data``."""
+def _apg_step(f, data, model, gram):
+    """Projected step of size ``1 / (2 ||gram||_F)`` along ``model - data``, in place."""
     step = 1.0 / (2.0 * float(np.sqrt(np.sum(gram ** 2))) + _NMF_EPS)
-    map_broadcast(factor, lambda f, mod, dat: np.maximum(0.0, f - step * (mod - dat)),
-                  factor, model, data)
+    f[...] = np.maximum(0.0, f - step * (model - data))
 
 
 def _nmf_run(s, iters, update):
     """Step Vt, then W, by ``update(factor, data, model, gram)`` and trace each
     iterate; ``data`` is the product with X, ``model`` with the Gram matrix.
-    Three collectives per iteration (``WXt``, Vt into ``tmp``, ``reduced``),
-    and one per call, as a caller may have changed ``W`` since ``WWt``."""
-    comm = s.X.comm
+    Two allreduces per iteration, both from the current W, so none per call:
+    ``stage`` sums the partial W X^t and W W^t and assembles all of Vt from
+    each rank's columns and zeros (an exact sum), so every rank steps all of
+    Vt; then ``reduced``."""
+    comm, m = s.X.comm, s.Vt.shape[1]
+    wxt, vt, wwt = s.stage[:, :m], s.stage[:, m:2 * m], s.stage[:, 2 * m:]
+    X, W, own = s.X.local, s.W.local, slice(s.Vt.lo, s.Vt.hi)
     start = _totals(comm)
-    matmul(s.WWt, s.W, transpose(s.W))
     for _ in range(iters):
-        matmul(s.WXt, s.W, transpose(s.X), tmp=s.tmp)
-        matmul(s.WWtVt, s.WWt, s.Vt)
-        update(s.Vt, s.WXt, s.WWtVt, s.WWt)
-        matmul(s.VtX, s.Vt, s.X, tmp=s.tmp)
-        np.matmul(s.tmp, s.tmp.T, out=s.VtV)
-        matmul(s.VtVW, s.VtV, s.W)
-        update(s.W, s.VtX, s.VtVW, s.VtV)
-        np.matmul(s.W.local, s.W.local.T, out=s.WWt)
-        s.reduced[-1] = np.dot(np.ravel(s.VtX.local, order="F"), np.ravel(s.W.local, order="F"))
+        wxt[...] = W @ X.T
+        vt[...] = 0
+        vt[:, own] = s.Vt.local
+        np.matmul(W, W.T, out=wwt)
+        comm.allreduce(s.stage, ReduceOp.SUM)
+        update(vt, wxt, wwt @ vt, wwt)
+        s.Vt.local[...] = vt[:, own]
+        s.VtX.local[...] = vt @ X  # not out=: BLAS can round an F-order out differently
+        np.matmul(vt, vt.T, out=s.VtV)
+        update(W, s.VtX.local, s.VtV @ W, s.VtV)
+        np.matmul(W, W.T, out=s.WWt)
+        s.reduced[-1] = np.dot(np.ravel(s.VtX.local, order="F"), np.ravel(W, order="F"))
         comm.allreduce(s.reduced, ReduceOp.SUM)
         gram = float(np.dot(np.ravel(s.VtV, order="F"), s.reduced[:-1]))
         _record(s, max(s.X_sqnorm - 2.0 * s.reduced[-1].item() + gram, 0.0), comm, start)

@@ -407,6 +407,16 @@ def test_nmf_rank_zero_exit_1(tmp_path):
     assert run(["nmf", "--input", path, "--rank", "0", "--backend", "inproc:2"]) == 1
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_nmf_nonfinite_data_exit_1(tmp_path, capsys, value):
+    data = np.ones((6, 5))
+    data[2, 1] = value
+    path = str(tmp_path / "X.dsta")
+    write_matrix(path, data)
+    assert run(["nmf", "--input", path, "--rank", "3", "--backend", "inproc:2"]) == 1
+    assert "finite" in capsys.readouterr().err
+
+
 def test_dtype_mismatch_exit_1(tmp_path):
     path = str(tmp_path / "x32.dsta")
     assert run(["gen", "--rows", "4", "--cols", "4", "--seed", "1",

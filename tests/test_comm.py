@@ -4,6 +4,7 @@ import hashlib
 import socket
 import struct
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -594,6 +595,48 @@ def test_oversized_buffer_mismatch_raises_on_every_rank():
     kinds = run_socket(2, _oversized_allreduce)
     assert kinds[0] is CollectiveContractError
     assert all(issubclass(k, CommError) for k in kinds)
+
+
+def _trickle(sock, data, stop, every=0.2):
+    """Send ``data`` one byte every ``every`` seconds until it is sent, ``stop``
+    is set or the other end is gone."""
+    for i in range(len(data)):
+        if stop.wait(every):
+            return
+        try:
+            sock.sendall(data[i:i + 1])
+        except OSError:
+            return
+
+
+@pytest.mark.parametrize("side", ["leaf", "hub"])
+def test_a_trickling_peer_cannot_outlast_the_timeout(side):
+    # a valid frame at one byte every 0.2 s: each recv waits far less than the
+    # 1 s timeout, the collective far more
+    hub_end, leaf_end = socket.socketpair()
+    with hub_end, leaf_end:
+        hub_end.settimeout(1.0)
+        leaf_end.settimeout(1.0)
+        if side == "leaf":  # the leaf trickles its request to the hub
+            comm, peer = _SocketCommunicator(0, 2, peers=[None, hub_end]), leaf_end
+            frame = _allreduce_frame()
+        else:               # the hub trickles its reply to the leaf
+            comm, peer = _SocketCommunicator(1, 2, hub=leaf_end), hub_end
+            frame = b"\x00" + np.zeros(2).tobytes()
+        stop = threading.Event()
+        thread = threading.Thread(
+            target=_trickle, args=(peer, struct.pack("<Q", len(frame)) + frame, stop))
+        thread.start()
+        t0 = time.monotonic()
+        try:
+            with pytest.raises(CommError, match="timed out"):
+                comm.allreduce(np.zeros(2))
+            waited = time.monotonic() - t0
+        finally:
+            stop.set()
+            thread.join(5.0)
+        assert not thread.is_alive()
+        assert waited < 1.5
 
 
 def test_leaf_bounds_an_error_reply():

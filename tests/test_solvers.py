@@ -162,6 +162,47 @@ def test_nmf_init_rejects_one_negative_entry(p):
         run_inproc(p, fn)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e200], ids=["nan", "inf", "overflow"])
+@pytest.mark.parametrize("backend,p", [("inproc", 1), ("inproc", 2), ("socket", 2)])
+def test_nmf_init_rejects_nonfinite_data_on_every_rank(value, backend, p):
+    data = np.ones((6, 5))
+    data[4, 3] = value  # owned by the last rank at p = 2
+
+    def fn(comm):
+        with pytest.raises(ValueError, match="finite"):
+            nmf_init(_dist(comm, data), 3, seed=1)
+        return True
+
+    runner = run_inproc if backend == "inproc" else run_socket
+    assert runner(p, fn) == [True] * p
+
+
+def _nmf_restarts(comm, algorithm, k):
+    """One call of ``k`` iterations, then from the same start ``k`` calls of
+    one and one call of ``k`` again; each run's trace, Vt and W."""
+    state = nmf_init(_dist(comm, rng(100).random((9, 7))), 3, seed=2)
+    vt0, w0 = state.Vt.local.copy(), state.W.local.copy()
+    runs = []
+    for calls in ([k], [1] * k, [k]):
+        state.Vt.local[...], state.W.local[...] = vt0, w0  # as Problem.reset() does
+        state.trace.clear()
+        for iters in calls:
+            algorithm(state, iters)
+        runs.append([np.asarray(state.trace), gather_full(state.Vt), gather_full(state.W)])
+    return runs
+
+
+@pytest.mark.parametrize("algorithm", [nmf_multiplicative, nmf_apg])
+@pytest.mark.parametrize("backend,p", [("inproc", 1), ("inproc", 2), ("inproc", 3),
+                                       ("socket", 2)])
+def test_nmf_calls_keep_no_state_between_them(algorithm, backend, p):
+    runner = run_inproc if backend == "inproc" else run_socket
+    for first, split, again in runner(p, _nmf_restarts, algorithm, 5):
+        assert len(first[0]) == 5
+        for a, b, c in zip(first, split, again):
+            assert a.tobytes() == b.tobytes() == c.tobytes()
+
+
 def _nmf_trace(comm, algorithm, seed, iters, rank):
     x = empty((8, 8), comm)
     from blockstat.distarray import rand_fill
@@ -827,8 +868,8 @@ def _records(comm, solver):
 
 
 @pytest.mark.parametrize("solver,want", [
-    ("multiplicative", ([4, 7, 10, 13], [4, 7, 10])),  # 3 per iteration, 1 more per call
-    ("apg", ([4, 7, 10, 13], [4, 7, 10])),
+    ("multiplicative", ([2, 4, 6, 8], [2, 4, 6])),  # 2 per iteration, none per call
+    ("apg", ([2, 4, 6, 8], [2, 4, 6])),
     ("mds", ([2, 4, 6, 8],)),
     ("cox", ([1, 2, 3, 4],)),
 ])
@@ -850,18 +891,16 @@ def _nmf_op_split(comm, algorithm, iters):
 
 @pytest.mark.parametrize("algorithm", [nmf_multiplicative, nmf_apg])
 @pytest.mark.parametrize("backend", ["inproc", "socket"])
-def test_nmf_call_splits_into_two_allreduces_and_one_allgatherv_per_iteration(
-        algorithm, backend):
-    # m = 6, n = 7, r = 2: per iteration an allreduce of r m (W Xt) and one of
-    # r^2 + 1 (W Wt and <Vt X, W>), and an allgatherv of r m (Vt); per call
-    # one allreduce of r^2 (W Wt)
+def test_nmf_call_makes_two_allreduces_per_iteration(algorithm, backend):
+    # m = 6, n = 7, r = 2: per iteration an allreduce of r (2m + r) (W Xt, all
+    # of Vt, W Wt) and one of r^2 + 1 (W Wt and <Vt X, W>); nothing per call
     runner = run_inproc if backend == "inproc" else run_socket
     m, r, iters = 6, 2, 3
     for split in runner(2, _nmf_op_split, algorithm, iters):
         assert split == {
             "broadcast": (0, 0),
-            "allreduce": (2 * iters + 1, 8 * (iters * (r * m + r * r + 1) + r * r)),
-            "allgatherv": (iters, 8 * iters * r * m),
+            "allreduce": (2 * iters, 8 * iters * (2 * r * m + 2 * r * r + 1)),
+            "allgatherv": (0, 0),
             "scatterv": (0, 0),
             "barrier": (0, 0),
         }
