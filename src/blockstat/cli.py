@@ -38,7 +38,8 @@ import numpy as np
 
 from . import comm as _comm
 from .comm import _CODE_DTYPES, _DTYPE_CODES, CollectiveContractError, CommError
-from .distarray import DistArray, distribute, empty, gather_full, rand_fill, reduce_all, scan as _scan
+from .distarray import _MAX_NDIM, DistArray, distribute, empty, gather_full, rand_fill, reduce_all
+from .distarray import scan as _scan
 from .distlinalg import SCENARIOS, matmul, pairwise_euclidean
 from .solvers import (
     ConvergenceMonitor,
@@ -55,7 +56,6 @@ from .solvers import (
 from .testing import materialize, scenario_operands
 
 _MAGIC = b"DSTA"
-_MAX_NDIM = 64  # numpy's limit on the number of dimensions
 _PRECISION = {"f32": np.dtype(np.float32), "f64": np.dtype(np.float64)}
 
 

@@ -194,8 +194,9 @@ class Communicator:
     is written back when the buffer is not F-contiguous.  An allgatherv's
     ``send`` may be a view of ``recv`` at this rank's own offset.  Different
     ranks' buffers must not overlap: on inproc one thread writes them all.
-    The public collectives do not call one another, so each can be wrapped
-    on its own.
+    Every collective goes through ``_run``, which numbers, counts and writes
+    it back; the public collectives do not call one another, so each can be
+    wrapped on its own.
     """
 
     rank: int
@@ -206,19 +207,27 @@ class Communicator:
         self._seq = 0
         self._counts = [[op.name.lower(), 0, 0, 0.0] for op in _Op]  # name, calls, bytes, s
 
-    def _next_seq(self):
-        """Number the next collective; called after its arguments are checked."""
+    def _run(self, op, buf, out, payload, dtype=-1, redop=-1, root=-1, send_len=-1, counts=None):
+        """The steps every collective shares: check ``counts`` and ``root``, number
+        the call once they pass, build its header, ``_transact`` it, count the call,
+        the bytes of ``out`` and the seconds, then write ``out`` back into ``buf``."""
+        if counts is not None:
+            counts = tuple(int(c) for c in counts)
+            if len(counts) != self.size:
+                raise ValueError(f"counts has {len(counts)} entries for {self.size} ranks")
+        if (op == _Op.BROADCAST or op == _Op.SCATTERV) and not 0 <= root < self.size:
+            raise ValueError(f"root {root} out of range for size {self.size}")
         self._seq += 1
-        return self._seq
-
-    def _counted(self, header, payload, out):
-        """``_transact``, counting the call, the bytes of ``out`` and the seconds."""
+        header = _Header(op, self._seq, dtype, redop, root, send_len,
+                         -1 if out is None else out.size, counts or ())
         start = time.perf_counter()
         self._transact(header, payload, out)
-        count = self._counts[header.op]  # indexed by op code
+        count = self._counts[op]  # indexed by op code
         count[1] += 1
-        count[2] += 0 if out is None else out.nbytes
         count[3] += time.perf_counter() - start
+        if out is not None:
+            count[2] += out.nbytes
+            _writeback(buf, out)
 
     def stats(self):
         """A copy of this rank's ``{op: {"calls", "bytes", "seconds"}}`` so far."""
@@ -229,52 +238,31 @@ class Communicator:
 
     def broadcast(self, buf, root=0):
         """Overwrite every rank's ``buf`` with root's contents."""
-        if not 0 <= root < self.size:
-            raise ValueError(f"root {root} out of range for size {self.size}")
         flat = _flat(buf)
-        header = _Header(_Op.BROADCAST, dtype=_DTYPE_CODES[flat.dtype], root=root,
-                         recv_len=flat.size, seq=self._next_seq())
-        self._counted(header, flat if self.rank == root else None, flat)
-        _writeback(buf, flat)
+        self._run(_Op.BROADCAST, buf, flat, flat if self.rank == root else None,
+                  _DTYPE_CODES[flat.dtype], root=root)
 
     def allreduce(self, buf, op=ReduceOp.SUM):
         """Elementwise fold of all ranks' ``buf``, in place, ascending rank order."""
         flat = _flat(buf)
-        header = _Header(_Op.ALLREDUCE, dtype=_DTYPE_CODES[flat.dtype], redop=op.value,
-                         recv_len=flat.size, seq=self._next_seq())
-        self._counted(header, flat, flat)
-        _writeback(buf, flat)
+        self._run(_Op.ALLREDUCE, buf, flat, flat, _DTYPE_CODES[flat.dtype], op.value)
 
     def allgatherv(self, send, recv, counts):
         """Concatenate per-rank ``send`` buffers into ``recv`` on every rank."""
-        counts = tuple(int(c) for c in counts)
-        if len(counts) != self.size:
-            raise ValueError(f"counts has {len(counts)} entries for {self.size} ranks")
-        sflat = _flat(send)
-        rflat = _flat(recv)
-        header = _Header(_Op.ALLGATHERV, dtype=_DTYPE_CODES[sflat.dtype], send_len=sflat.size,
-                         recv_len=rflat.size, counts=counts, seq=self._next_seq())
-        self._counted(header, sflat, rflat)
-        _writeback(recv, rflat)
+        sflat, rflat = _flat(send), _flat(recv)
+        self._run(_Op.ALLGATHERV, recv, rflat, sflat, _DTYPE_CODES[sflat.dtype],
+                  send_len=sflat.size, counts=counts)
 
     def scatterv(self, send, recv, counts, root=0):
         """Slice root's ``send`` into per-rank chunks of sizes ``counts``."""
-        counts = tuple(int(c) for c in counts)
-        if len(counts) != self.size:
-            raise ValueError(f"counts has {len(counts)} entries for {self.size} ranks")
-        if not 0 <= root < self.size:
-            raise ValueError(f"root {root} out of range for size {self.size}")
         rflat = _flat(recv)
         sflat = _flat(send) if self.rank == root else None
-        header = _Header(_Op.SCATTERV, dtype=_DTYPE_CODES[rflat.dtype], root=root,
-                         send_len=-1 if sflat is None else sflat.size, recv_len=rflat.size,
-                         counts=counts, seq=self._next_seq())
-        self._counted(header, sflat, rflat)
-        _writeback(recv, rflat)
+        self._run(_Op.SCATTERV, recv, rflat, sflat, _DTYPE_CODES[rflat.dtype], root=root,
+                  send_len=-1 if sflat is None else sflat.size, counts=counts)
 
     def barrier(self):
         """Block until every rank has entered."""
-        self._counted(_Header(_Op.BARRIER, seq=self._next_seq()), None, None)
+        self._run(_Op.BARRIER, None, None, None)
 
     # -- backend hooks ------------------------------------------------------
 
@@ -584,55 +572,53 @@ def _init_socket(hosts, rank, timeout):
     size = len(hosts)
     if size == 1:
         return _SocketCommunicator(0, 1)
+    deadline = time.monotonic() + timeout  # one for the whole join, as for a collective
     if rank == 0:
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        conns, peers = [], [None] * size  # every accepted socket; the joined ones by rank
         try:
             listener.bind(hosts[0])
             listener.listen(size)
-            listener.settimeout(timeout)
-            peers = [None] * size
-            joined = 0
-            while joined < size - 1:
-                try:
-                    conn, _ = listener.accept()
-                except (socket.timeout, OSError) as exc:
-                    raise CommInitError(f"hub accept failed: {exc}") from exc
+            for _ in range(1, size):  # each pass joins one leaf or raises
+                _arm(listener, deadline)
+                conns.append(listener.accept()[0])
+                conn = conns[-1]
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                conn.settimeout(timeout)
-                magic = _recv_exact(conn, 4)
-                r, claimed = struct.unpack("<ii", _recv_exact(conn, 8))
-                if magic != _HELLO or claimed != size or not 1 <= r < size or peers[r] is not None:
-                    conn.sendall(struct.pack("<B", 1))
-                    conn.close()
-                    raise CommInitError(
-                        f"bad join: magic={magic!r} rank={r} claimed size={claimed}"
-                    )
-                conn.sendall(struct.pack("<B", 0))
+                magic, r, claimed = struct.unpack("<4sii", _recv_exact(conn, 12, deadline))
+                ok = magic == _HELLO and claimed == size and 1 <= r < size and peers[r] is None
+                conn.sendall(struct.pack("<B", 0 if ok else 1))  # armed by _recv_exact
+                if not ok:
+                    raise CommInitError(f"bad join: magic={magic!r} rank={r} size={claimed}")
+                conn.settimeout(timeout)  # each collective's deadline is read from it
                 peers[r] = conn
-                joined += 1
+        except (CommError, OSError) as exc:
+            for conn in conns:
+                conn.close()
+            raise CommInitError(f"hub join failed: {exc}") from exc
         finally:
             listener.close()
         return _SocketCommunicator(0, size, peers=peers)
 
-    t0 = time.monotonic()
     last_err = None
-    while time.monotonic() - t0 < timeout:
+    while time.monotonic() < deadline:
         try:
-            conn = socket.create_connection(hosts[0], timeout=2.0)
+            conn = socket.create_connection(hosts[0], max(deadline - time.monotonic(), 1e-6))
             break
         except OSError as exc:
             last_err = exc
             time.sleep(0.05)
     else:
         raise CommInitError(f"cannot reach hub {hosts[0]}: {last_err}")
-    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    conn.settimeout(timeout)
-    conn.sendall(_HELLO + struct.pack("<ii", rank, size))
-    (status,) = struct.unpack("<B", _recv_exact(conn, 1))
-    if status != 0:
+    try:  # the socket's timeout is what was left of the deadline at connect
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        conn.sendall(_HELLO + struct.pack("<ii", rank, size))
+        if _recv_exact(conn, 1, deadline) != b"\x00":
+            raise CommInitError("hub rejected join (rank/size mismatch)")
+    except (CommError, OSError) as exc:
         conn.close()
-        raise CommInitError("hub rejected join (rank/size mismatch)")
+        raise CommInitError(f"join failed: {exc}") from exc
+    conn.settimeout(timeout)  # each collective's deadline is read from it
     return _SocketCommunicator(rank, size, hub=conn)
 
 
@@ -642,9 +628,9 @@ def init(descriptor, timeout=30.0):
     ``inproc:<P>`` returns a list of P endpoints sharing one world (hand
     each to its own rank thread).  ``tcp:...,rank=<r>`` connects this
     process's single endpoint and returns it.  ``timeout`` (seconds) bounds
-    joining the world and each collective, from its start, on both backends;
-    a rank whose collective lasts longer raises :class:`RankAbortedError`
-    (inproc) or :class:`CommError` (tcp).
+    the whole join (else :class:`CommInitError`) and each collective, from
+    its start, on both backends; a rank whose collective lasts longer raises
+    :class:`RankAbortedError` (inproc) or :class:`CommError` (tcp).
     """
     kind, arg, rank = _parse_descriptor(descriptor)
     if kind == "inproc":

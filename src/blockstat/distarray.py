@@ -21,6 +21,9 @@ import numpy as np
 from .comm import _CODE_DTYPES, _DTYPE_CODES, _REDUCE_UFUNC, ReduceOp
 
 
+_MAX_NDIM = 64  # numpy's limit on the number of dimensions
+
+
 class DistributionError(ValueError):
     """Operand distribution is incompatible with the requested operation."""
 
@@ -208,24 +211,20 @@ def rand_fill(a, seed=None, common_init=False, dist="uniform01"):
 def distribute(data, comm):
     """Distribute a dense array residing on rank 0 over all ranks.
 
-    Other ranks pass ``None`` or an empty placeholder; rank 0's shape and
-    dtype are announced, then blocks are scattered in column-major chunks
-    along the last dimension.
+    Other ranks pass ``None`` or an empty placeholder; rank 0's dtype and
+    shape are announced in one broadcast, then blocks are scattered in
+    column-major chunks along the last dimension.
     """
+    head = np.zeros(2 + _MAX_NDIM, dtype=np.int64)  # dtype code, ndim, extents
     if comm.rank == 0:
         data = np.asarray(data)
         if data.dtype not in _DTYPE_CODES:
             raise DistributionError(f"cannot distribute dtype {data.dtype}; "
                                     "use float32/float64/int64")
-        head = np.array([data.ndim, _DTYPE_CODES[data.dtype]], dtype=np.int64)
-    else:
-        head = np.zeros(2, dtype=np.int64)
+        head[:2 + data.ndim] = (_DTYPE_CODES[data.dtype], data.ndim, *data.shape)
     comm.broadcast(head)
-    ndim, code = int(head[0]), int(head[1])
-    ext = np.array(data.shape, dtype=np.int64) if comm.rank == 0 else np.zeros(ndim, np.int64)
-    comm.broadcast(ext)
-    shape = tuple(int(e) for e in ext)
-    dtype = _CODE_DTYPES[code]
+    shape = tuple(int(e) for e in head[2:2 + head[1]])
+    dtype = _CODE_DTYPES[int(head[0])]
     if comm.rank != 0 and data is not None:
         placeholder = np.asarray(data)
         if placeholder.size and placeholder.shape != shape:

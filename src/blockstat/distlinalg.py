@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .comm import ReduceOp
-from .distarray import DistArray, TransposedView, _gather
+from .distarray import DistArray, TransposedView, _gather, reduce_all
 
 # row: (A, B, C, how C is formed).  A is (p, q) and B is (q, r), or a
 # length-q vector in rows l-q.  ``how`` is one of
@@ -291,10 +291,7 @@ def opnorm(a, which="l2_power", tol=1e-6, maxiter=1000):
     if m == 0 or n == 0:
         raise ShapeError("opnorm of an empty matrix")
     if which == "l1":
-        local = np.abs(a.local).sum(axis=0).max() if a.local.size else -np.inf
-        buf = np.array([float(local)])
-        a.comm.allreduce(buf, ReduceOp.MAX)
-        return buf[0].item()
+        return float(reduce_all(a, ReduceOp.MAX, lambda x: np.abs(x).sum(axis=0)))
     if which == "linf":
         rows = np.abs(a.local).sum(axis=1) if a.local.size else np.zeros(m)
         rows = np.ascontiguousarray(rows, dtype=np.float64)

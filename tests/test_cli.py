@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from blockstat.cli import FormatError, read_matrix, run, write_matrix
+from blockstat.cli import _COMMANDS, FormatError, read_matrix, run, write_matrix
 from blockstat.comm import run_inproc
 from blockstat.distarray import distribute, empty, gather_full
 from blockstat.distlinalg import pairwise_euclidean
@@ -374,6 +374,66 @@ def test_trace_is_one_library_call(tmp_path, command, argv):
     assert [r[1] for r in rows] == want  # bitwise: one call, as the library makes it
     assert np.all(np.diff([r[2] for r in rows]) >= 0)
     assert 11 < len(rows) < 3000 if monitor else len(rows) in (25, 40)
+
+
+def _library_result(comm, command, paths):
+    """The arrays ``command`` writes with its --out flags, from the library."""
+    x = read_matrix(paths["X"], comm)
+    if command in ("multiplicative", "apg"):
+        state = nmf_init(x, 2, seed=3)
+        (nmf_apg if command == "apg" else nmf_multiplicative)(state, 7)
+        return [gather_full(state.Vt), gather_full(state.W)]
+    if command == "mds":
+        y = empty((x.shape[1], x.shape[1]), comm)
+        pairwise_euclidean(y, x, chunk=64)
+        state = mds_init(y, 2, seed=3)
+        mds_fit(state, 7)
+        return [gather_full(state.theta)]
+    times, events = (gather_full(read_matrix(paths[k], comm)).reshape(-1)
+                     for k in ("time", "events"))
+    state = cox_init(x, times, events, lam=0.02, sigma=0.02)
+    cox_fit(state, 7)
+    return [gather_full(state.beta)]
+
+
+@pytest.mark.parametrize("command,argv,flags", [
+    ("multiplicative", ["nmf", "--rank", "2", "--iters", "7", "--seed", "3"],
+     ["--out-vt", "--out-w"]),
+    ("apg", ["nmf", "--rank", "2", "--iters", "7", "--seed", "3", "--algorithm", "apg"],
+     ["--out-vt", "--out-w"]),
+    ("mds", ["mds", "--embed-dim", "2", "--iters", "7", "--seed", "3"], ["--out"]),
+    ("cox", ["cox", "--lambda", "0.02", "--sigma", "0.02", "--iters", "7"], ["--out"]),
+])
+def test_out_files_hold_the_library_result(tmp_path, command, argv, flags):
+    gen = rng(44)
+    paths = {k: str(tmp_path / f"{k}.dsta") for k in ("X", "time", "events")}
+    if command == "cox":
+        write_matrix(paths["X"], gen.standard_normal((30, 4)))
+        write_matrix(paths["time"], np.arange(30, 0, -1.0))
+        write_matrix(paths["events"], (gen.random(30) > 0.3).astype(np.float64))
+        argv = argv + ["--time", paths["time"], "--events", paths["events"]]
+    else:
+        write_matrix(paths["X"], gen.random((5, 9)))
+    outs = [str(tmp_path / f"out{i}.dsta") for i in range(len(flags))]
+    for flag, out in zip(flags, outs):
+        argv = argv + [flag, out]
+    assert run(argv + ["--input", paths["X"], "--backend", "inproc:3"]) == 0
+    want = run_inproc(3, _library_result, command, paths)[0]
+    got = [run_inproc(2, lambda comm, o=out: gather_full(read_matrix(o, comm)))[0] for out in outs]
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes(order="F") == w.tobytes(order="F")  # bitwise
+
+
+def test_contract_violation_exit_3(monkeypatch, capsys):
+    def mismatched(comm, args):  # the ranks' allreduce lengths disagree
+        comm.allreduce(np.zeros(1 + comm.rank))
+        return 0
+
+    monkeypatch.setitem(_COMMANDS, "gen", mismatched)
+    assert run(["gen", "--rows", "2", "--cols", "2", "--out", "unused.dsta",
+                "--backend", "inproc:2"]) == 3
+    assert "collective contract violation" in capsys.readouterr().err
 
 
 def test_bench_matmul_reports_tiny_deviation(capsys):

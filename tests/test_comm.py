@@ -1,8 +1,10 @@
 """Collective communication contract tests, run on both backends."""
 
 import hashlib
+import os
 import socket
 import struct
+import subprocess
 import sys
 import threading
 import time
@@ -637,6 +639,101 @@ def test_a_trickling_peer_cannot_outlast_the_timeout(side):
             thread.join(5.0)
         assert not thread.is_alive()
         assert waited < 1.5
+
+
+def _join_late(port, hello, stop, after, every):
+    """Connect to the hub at ``port`` ``after`` seconds in, then trickle ``hello``."""
+    if stop.wait(after):
+        return
+    while not stop.is_set():
+        try:
+            sock = socket.create_connection(("127.0.0.1", port), timeout=5.0)
+            break
+        except OSError:
+            time.sleep(0.02)
+    else:
+        return
+    with sock:
+        _trickle(sock, hello, stop, every)
+        stop.wait(5.0)
+
+
+@pytest.mark.parametrize("size,after,every", [(2, 0.0, 0.5), (3, 0.7, 0.0)],
+                         ids=["trickling-hello", "missing-leaf"])
+def test_the_join_timeout_bounds_the_whole_join(size, after, every):
+    # trickling-hello: the 12-byte hello at one byte every 0.5 s, so each recv
+    # waits less than the 1 s timeout and the join far more; missing-leaf: one
+    # leaf joins 0.7 s in and the other never does, so the second accept may
+    # wait only for what is left of the 1 s
+    port = free_port()
+    stop = threading.Event()
+    hello = b"BSTW" + struct.pack("<ii", 1, size)
+    thread = threading.Thread(target=_join_late, args=(port, hello, stop, after, every))
+    thread.start()
+    t0 = time.monotonic()
+    try:
+        with pytest.raises(CommInitError):
+            init(f"tcp:{','.join([f'127.0.0.1:{port}'] * size)},rank=0", timeout=1.0)
+        waited = time.monotonic() - t0
+    finally:
+        stop.set()
+        thread.join(10.0)
+    assert not thread.is_alive()
+    assert waited < 1.5
+
+
+_FAULTY_RANK = """
+import os, sys, time
+import numpy as np
+from blockstat.comm import CommError, init
+
+rank, hosts, culprit, fault = int(sys.argv[1]), sys.argv[2], int(sys.argv[3]), sys.argv[4]
+comm = init(f"tcp:{hosts},rank={rank}", timeout=3.0)
+buf = np.full(4, rank + 1.0)
+comm.allreduce(buf)
+assert buf.tolist() == [6.0] * 4
+if rank == culprit:
+    if fault == "sleep":
+        time.sleep(8.0)
+    os._exit(0)
+t0 = time.monotonic()
+try:
+    comm.allreduce(buf)
+except CommError as exc:
+    print(f"{time.monotonic() - t0:.3f} {type(exc).__name__}: {exc}")
+    sys.exit(0)
+print("no error")
+sys.exit(1)
+"""
+
+
+@pytest.mark.parametrize("culprit,fault", [(2, "exit"), (2, "sleep"), (0, "exit")],
+                         ids=["leaf-exits", "leaf-sleeps", "hub-exits"])
+def test_a_failed_rank_process_raises_comm_error_on_every_other_rank(culprit, fault):
+    # three rank processes with timeout=3; after one good allreduce the
+    # culprit exits or sleeps, and every other rank's next allreduce must
+    # raise a CommError subclass within the timeout plus 1 s
+    port = free_port()
+    hosts = ",".join([f"127.0.0.1:{port}"] * 3)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src"), env.get("PYTHONPATH", "")])
+    procs = [subprocess.Popen([sys.executable, "-c", _FAULTY_RANK, str(rank), hosts,
+                               str(culprit), fault], env=env, stdout=subprocess.PIPE, text=True)
+             for rank in range(3)]
+    try:
+        for rank, proc in enumerate(procs):
+            if rank == culprit:
+                continue
+            out, _ = proc.communicate(timeout=60)
+            assert proc.returncode == 0, (rank, out)
+            waited = float(out.split()[0])
+            assert waited < 3.0 + 1.0, (rank, out)
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
 
 
 def test_leaf_bounds_an_error_reply():

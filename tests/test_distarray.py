@@ -76,6 +76,22 @@ def test_distribute_column_blocks():
     np.testing.assert_array_equal(out[1], data[:, 2:])
 
 
+@pytest.mark.parametrize("data", [np.arange(24.0).reshape(2, 3, 4), np.arange(5, dtype=np.int64)],
+                         ids=["3d-f64", "1d-i64"])
+def test_distribute_makes_one_broadcast_and_one_scatterv(world_runner, data):
+    def fn(comm):
+        before = comm.stats()
+        d = distribute(data if comm.rank == 0 else None, comm)
+        after = comm.stats()
+        return {op: after[op]["calls"] - before[op]["calls"] for op in after}, gather_full(d)
+
+    for calls, full in world_runner(3, fn):
+        assert calls == {"broadcast": 1, "scatterv": 1, "allreduce": 0, "allgatherv": 0,
+                         "barrier": 0}
+        assert full.dtype == data.dtype
+        np.testing.assert_array_equal(full, data)
+
+
 def test_distribute_placeholder_mismatch():
     def fn(comm):
         if comm.rank == 0:
