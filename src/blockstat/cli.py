@@ -77,15 +77,11 @@ def _block_io(path, a, header_len, write):
     """
     view = memoryview(a.local.reshape(-1, order="F")).cast("B")  # a view if F-contiguous
     offset = header_len + math.prod(a.shape[:-1]) * a.lo * a.dtype.itemsize
-    fd = os.open(path, os.O_WRONLY if write else os.O_RDONLY)
-    try:
-        while view:
-            n = os.pwrite(fd, view, offset) if write else os.preadv(fd, [view], offset)
-            if n == 0:
-                raise FormatError(f"payload ends {len(view)} bytes early")
-            view, offset = view[n:], offset + n
-    finally:
-        os.close(fd)
+    with open(path, "r+b" if write else "rb") as fh:
+        fh.seek(offset)
+        n = fh.write(view) if write else fh.readinto(view)  # a large view is not copied
+    if n < len(view):
+        raise FormatError(f"payload ends {len(view) - n} bytes early")
 
 
 def write_matrix(path, array):

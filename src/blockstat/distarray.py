@@ -173,15 +173,7 @@ def _generator(seed):
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _draw(gen, n, dist, dtype):
-    dtype = np.dtype(dtype)
-    if dtype.kind != "f":
-        raise ValueError("random fill requires a float dtype")
-    if dist == "uniform01":
-        return gen.random(n, dtype=dtype)
-    if dist == "standard_normal":
-        return gen.standard_normal(n, dtype=dtype)
-    raise ValueError(f"unknown distribution {dist!r}")
+_DRAWS = {"uniform01": "random", "standard_normal": "standard_normal"}  # Generator methods
 
 
 def rand_fill(a, seed=None, common_init=False, dist="uniform01"):
@@ -191,20 +183,26 @@ def rand_fill(a, seed=None, common_init=False, dist="uniform01"):
     (seeded with ``seed`` when given) and scattered, so the global content
     does not depend on the number of ranks.  Otherwise every rank fills its
     own block from a stream seeded with ``seed + rank`` (or fresh entropy
-    when ``seed`` is None).
+    when ``seed`` is None).  A non-float dtype, an unknown ``dist`` or, with
+    ``common_init``, a bad seed raises on every rank before any collective.
     """
+    if a.dtype not in (np.float32, np.float64):
+        raise ValueError(f"random fill requires a float dtype, got {a.dtype}")
+    if dist not in _DRAWS:
+        raise ValueError(f"unknown distribution {dist!r}")
     comm = a.comm
     if common_init:
         rows = _rows(a.shape)
+        gen = _generator(seed)  # on every rank, so a bad seed raises on every rank
         if comm.rank == 0:
-            vals = _draw(_generator(seed), rows * a.shape[-1], dist, a.dtype)
+            vals = getattr(gen, _DRAWS[dist])(rows * a.shape[-1], dtype=a.dtype)
         else:
             vals = None
         counts = [rows * w for w in a.partition.counts()]
         comm.scatterv(vals, a.local, counts)
     else:
         gen = _generator(None if seed is None else seed + comm.rank)
-        vals = _draw(gen, a.local.size, dist, a.dtype)
+        vals = getattr(gen, _DRAWS[dist])(a.local.size, dtype=a.dtype)
         a.local[...] = vals.reshape(a.local.shape, order="F")
 
 
@@ -212,19 +210,24 @@ def distribute(data, comm):
     """Distribute a dense array residing on rank 0 over all ranks.
 
     Other ranks pass ``None`` or an empty placeholder; rank 0's dtype and
-    shape are announced in one broadcast, then blocks are scattered in
-    column-major chunks along the last dimension.
+    shape, or that its dtype cannot be distributed, are announced in one
+    broadcast, then blocks are scattered in column-major chunks along the
+    last dimension.
     """
-    head = np.zeros(2 + _MAX_NDIM, dtype=np.int64)  # dtype code, ndim, extents
+    head = np.zeros(3 + _MAX_NDIM, dtype=np.int64)  # status, dtype code, ndim, extents
+    what = "rank 0's dtype"
     if comm.rank == 0:
         data = np.asarray(data)
-        if data.dtype not in _DTYPE_CODES:
-            raise DistributionError(f"cannot distribute dtype {data.dtype}; "
-                                    "use float32/float64/int64")
-        head[:2 + data.ndim] = (_DTYPE_CODES[data.dtype], data.ndim, *data.shape)
+        what = f"dtype {data.dtype}"
+        if data.dtype in _DTYPE_CODES:
+            head[1:3 + data.ndim] = (_DTYPE_CODES[data.dtype], data.ndim, *data.shape)
+        else:
+            head[0] = 1
     comm.broadcast(head)
-    shape = tuple(int(e) for e in head[2:2 + head[1]])
-    dtype = _CODE_DTYPES[int(head[0])]
+    if head[0]:  # every rank raises
+        raise DistributionError(f"cannot distribute {what}; use float32/float64/int64")
+    shape = tuple(int(e) for e in head[3:3 + head[2]])
+    dtype = _CODE_DTYPES[int(head[1])]
     if comm.rank != 0 and data is not None:
         placeholder = np.asarray(data)
         if placeholder.size and placeholder.shape != shape:

@@ -131,26 +131,21 @@ def _vec_like(x, kind):
     return kind in ("dvec", "rvec") or (kind == "tdist" and x.parent.shape[0] == 1)
 
 
-def _owner(x):
-    """The DistArray that stores a distributed operand."""
-    return x.parent if isinstance(x, TransposedView) else x
+def _view(x, kind):
+    """``(global shape, this rank's block in global orientation, storing DistArray)``;
+    a replicated ``x`` is its own block and has no storing DistArray."""
+    if kind in ("repl", "rvec"):
+        arr = np.asarray(x)
+        return arr.shape, arr, None
+    store = x.parent if isinstance(x, TransposedView) else x
+    if kind == "dvec" and store is not x:  # the transpose of a 1 x n row
+        return store.shape[1:], store.local[0], store
+    return x.shape, store.local.T if kind == "tdist" else x.local, store
 
 
-def _block(x, kind):
-    """This rank's block of ``x`` in its global orientation; all of a replicated ``x``."""
-    if kind == "dist":
-        return x.local
-    if kind == "tdist":
-        return x.parent.local.T
-    if kind == "dvec":
-        local = _owner(x).local
-        return local[0] if local.ndim == 2 else local
-    return np.asarray(x)
-
-
-def _gather_into(x, kind, tmp):
-    """Gather distributed ``x`` into ``tmp`` (its stored shape); return it in global orientation."""
-    _gather(_owner(x), 0, _owner(x).shape[-1], tmp)
+def _gather_into(store, kind, tmp):
+    """Gather ``store`` into ``tmp`` (its stored shape); return it in global orientation."""
+    _gather(store, 0, store.shape[-1], tmp)
     return tmp.T if kind == "tdist" else tmp
 
 
@@ -185,12 +180,6 @@ def _tmp_buffer(tmp, shape, dtype, what):
     return tmp
 
 
-def _global_shape(x, kind):
-    if kind == "dvec" and isinstance(x, TransposedView):
-        return (x.parent.shape[1],)
-    return np.shape(x) if kind in ("repl", "rvec") else x.shape
-
-
 def matmul(c, a, b, tmp=None):
     """Distributed ``C = A @ B`` following the scenario table ``_ROWS``.
 
@@ -216,7 +205,8 @@ def matmul(c, a, b, tmp=None):
             f"no matmul scenario for (A={ak}, B={bk}, C={ck}); admissible rows: "
             + ", ".join(f"{r}:{k}" for r, k in sorted(SCENARIOS.items()))
         )
-    ash, bsh, csh = _global_shape(a, ak), _global_shape(b, bk), _global_shape(c, ck)
+    (ash, x, astore), (bsh, y, bstore), (csh, out, cstore) = (
+        _view(a, ak), _view(b, bk), _view(c, ck))
     p, q = ash
     r = bsh[1] if len(bsh) == 2 else 1
     if bsh[0] != q:
@@ -226,38 +216,35 @@ def matmul(c, a, b, tmp=None):
         raise ShapeError(f"C has shape {csh}, expected {want_c}")
     # Partitions depend only on the extent and the rank count, so operands
     # of agreeing extents are split alike unless their worlds differ in size.
-    sizes = {x.comm.size for x, k in ((a, ak), (b, bk), (c, ck)) if k in _DISTRIBUTED}
+    sizes = {v.comm.size for v in (astore, bstore, cstore) if v is not None}
     if len(sizes) > 1:
         raise ShapeError(f"distributed operands come from worlds of sizes {sorted(sizes)}")
 
     how = _ROWS[row][3]
     shape = tmp_shape(row, p, q, r)
     buf = None if shape is None else _tmp_buffer(tmp, shape, a.dtype, row)
-    x, y = _block(a, ak), _block(b, bk)
     if how == "gather A":
-        x = _gather_into(a, ak, buf)
+        x = _gather_into(astore, ak, buf)
     elif how == "gather B":
-        y = _gather_into(b, bk, buf)
+        y = _gather_into(bstore, bk, buf)
     elif how == "allgather":
         a.comm.allgatherv(np.ascontiguousarray(x @ y), c, a.partition.counts())
         return c
     elif how == "reduce":
         if ak == "repl":
-            x = x[:, b.parent.lo:b.parent.hi]
+            x = x[:, bstore.lo:bstore.hi]
         elif bk in ("repl", "rvec"):
             y = y[a.lo:a.hi]
         comm = b.comm if ak == "repl" else a.comm
-        if ck in ("repl", "rvec"):
-            c[...] = x @ y
-            comm.allreduce(c, ReduceOp.SUM)
+        if cstore is None:
+            out[...] = x @ y
+            comm.allreduce(out, ReduceOp.SUM)
             return c
         # (x @ y).T, not y.T @ x.T: the two BLAS calls can round differently.
         buf[...] = (x @ y).T if ck == "tdist" else x @ y
         comm.allreduce(buf, ReduceOp.SUM)
-        dest = _owner(c)
-        dest.local[...] = buf[..., dest.lo:dest.hi]
+        cstore.local[...] = buf[..., cstore.lo:cstore.hi]
         return c
-    out = _block(c, ck)
     if ck == "tdist":  # form the product in C's stored orientation
         x, y, out = y.T, x.T, out.T
     out[...] = x @ y

@@ -347,7 +347,9 @@ class CoxState:
 
 
 def cox_init(x, y, delta, lam, sigma=None, ties="none"):
-    """Allocate Cox state; the step size defaults to 1 / (2 ||X||_2^2)."""
+    """Allocate Cox state; the step size defaults to 1 / (2 ||X||_2^2).
+
+    ``lam`` must be finite and >= 0, and ``sigma`` finite and > 0."""
     if x.ndim != 2:
         raise ValueError("Cox expects a 2-D covariate matrix")
     m, n = x.shape
@@ -361,6 +363,8 @@ def cox_init(x, y, delta, lam, sigma=None, ties="none"):
         raise ValueError("event indicators must be 0 or 1")
     if ties not in ("none", "breslow"):
         raise ValueError(f"unknown tie mode {ties!r}")
+    if not 0 <= lam < np.inf:  # NaN fails both
+        raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
     same = y[1:] == y[:-1]
     tied = bool(same.any())
     if tied and ties == "none":
@@ -372,9 +376,12 @@ def cox_init(x, y, delta, lam, sigma=None, ties="none"):
     np.minimum.accumulate(cuts[::-1], out=cuts[::-1])
     if sigma is None:
         norm2 = opnorm(x, "l2_power")
+        if norm2 == 0:
+            raise ValueError("X is all zeros, so 1 / (2 ||X||_2^2) is no step size; "
+                             "pass sigma (--sigma)")
         sigma = 1.0 / (2.0 * norm2 * norm2)
-    if sigma <= 0:
-        raise ValueError("step size must be positive")
+    if not 0 < sigma < np.inf:  # NaN fails both
+        raise ValueError(f"step size must be finite and positive, got {sigma}")
     reduced = np.empty(m + 1, dtype=x.dtype)
     return CoxState(
         X=x, delta=delta,

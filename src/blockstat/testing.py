@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distarray import DistArray, TransposedView, distribute, empty, gather_full
+from .distarray import DistArray, TransposedView, distribute, gather_full
 from .distlinalg import SCENARIOS, tmp_shape  # noqa: F401  (tmp_shape is re-exported)
 
 
@@ -13,17 +13,16 @@ class _VectorView(TransposedView):
 
 
 def _dist(dense, comm):
-    return distribute(np.asarray(dense) if comm.rank == 0 else None, comm)
+    return distribute(dense if comm.rank == 0 else None, comm)
 
 
 def _build(kind, dense, comm, dvec_as_view):
-    dense = np.asarray(dense)
     if kind == "dist":
         return _dist(dense, comm)
     if kind == "tdist":
         return TransposedView(_dist(dense.T, comm))
     if kind in ("repl", "rvec"):
-        return dense.copy()
+        return dense.copy(order="K")
     if kind == "dvec":
         if dvec_as_view:
             return _VectorView(_dist(dense.reshape(1, -1), comm))
@@ -31,38 +30,19 @@ def _build(kind, dense, comm, dvec_as_view):
     raise ValueError(f"unknown operand kind {kind!r}")
 
 
-def _fresh_output(kind, shape, dtype, comm, dvec_as_view):
-    if kind == "dist":
-        return empty(shape, comm, dtype)
-    if kind == "tdist":
-        return TransposedView(empty((shape[1], shape[0]), comm, dtype))
-    if kind == "repl":
-        return np.empty(shape, dtype=dtype, order="F")
-    if kind == "rvec":
-        return np.empty(shape[0], dtype=dtype)
-    if kind == "dvec":
-        if dvec_as_view:
-            return _VectorView(empty((1, shape[0]), comm, dtype))
-        return empty((shape[0],), comm, dtype)
-    raise ValueError(f"unknown output kind {kind!r}")
-
-
 def scenario_operands(row, a_dense, b_dense, comm, dvec_as_view=False):
-    """Operands ``(c, a, b)`` of the kinds scenario ``row`` requires.
+    """Operands ``(c, a, b)`` of the kinds scenario ``row`` requires; ``c`` holds zeros.
 
     ``a_dense`` is (p, q); ``b_dense`` is (q, r) for matrix rows and (q,)
     for vector rows.  ``dvec_as_view=True`` realizes distributed vectors as
     transposed 1 x n rows instead of 1-D arrays.
     """
     a_kind, b_kind, c_kind = SCENARIOS[row]
-    a_dense = np.asarray(a_dense)
-    b_dense = np.asarray(b_dense)
-    p = a_dense.shape[0]
-    cshape = (p,) if b_dense.ndim == 1 else (p, b_dense.shape[1])
+    a_dense, b_dense = np.asarray(a_dense), np.asarray(b_dense)
     a = _build(a_kind, a_dense, comm, dvec_as_view)
     b = _build(b_kind, b_dense, comm, dvec_as_view)
-    c = _fresh_output(c_kind, cshape, a_dense.dtype, comm, dvec_as_view)
-    return c, a, b
+    c_dense = np.zeros(a_dense.shape[:1] + b_dense.shape[1:], a_dense.dtype, order="F")
+    return _build(c_kind, c_dense, comm, dvec_as_view), a, b
 
 
 def materialize(x):

@@ -319,6 +319,25 @@ def test_cox_nonfinite_data_without_sigma_exit_1(tmp_path, capsys):
     assert "nonfinite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,match", [
+    (["--lambda", "-1"], "lambda"),
+    (["--lambda", "inf"], "lambda"),
+    (["--lambda", "0.1", "--sigma", "nan"], "step size"),
+], ids=["negative-lambda", "infinite-lambda", "nan-sigma"])
+def test_cox_bad_lambda_or_sigma_exit_1(tmp_path, capsys, flags, match):
+    path = str(tmp_path / "X.dsta")
+    write_matrix(path, rng(42).standard_normal((40, 5)))
+    assert run(["cox", "--input", path, "--iters", "30", "--backend", "inproc:2"] + flags) == 1
+    assert match in capsys.readouterr().err
+
+
+def test_cox_all_zero_data_without_sigma_exit_1(tmp_path, capsys):
+    path = str(tmp_path / "zeros.dsta")
+    write_matrix(path, np.zeros((6, 3)))
+    assert run(["cox", "--input", path, "--lambda", "0.1", "--backend", "inproc:2"]) == 1
+    assert "--sigma" in capsys.readouterr().err
+
+
 def test_cox_counts_nonzeros_with_more_ranks_than_columns(tmp_path, capsys):
     x_path, beta_path = str(tmp_path / "X.dsta"), str(tmp_path / "beta.dsta")
     write_matrix(x_path, rng(41).standard_normal((40, 3)))

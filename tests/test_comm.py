@@ -683,9 +683,9 @@ def test_the_join_timeout_bounds_the_whole_join(size, after, every):
 
 
 _FAULTY_RANK = """
-import os, sys, time
+import os, struct, sys, time
 import numpy as np
-from blockstat.comm import CommError, init
+from blockstat.comm import CommError, _Header, _Op, _pack_header, init
 
 rank, hosts, culprit, fault = int(sys.argv[1]), sys.argv[2], int(sys.argv[3]), sys.argv[4]
 comm = init(f"tcp:{hosts},rank={rank}", timeout=3.0)
@@ -693,7 +693,14 @@ buf = np.full(4, rank + 1.0)
 comm.allreduce(buf)
 assert buf.tolist() == [6.0] * 4
 if rank == culprit:
-    if fault == "sleep":
+    if fault == "garbage":
+        comm._hub.sendall(b"\\xff" * 64)
+    elif fault == "trickle":  # the next allreduce's frame, one byte every 0.5 s
+        body = _pack_header(_Header(_Op.ALLREDUCE, 2, 1, 0, -1, -1, 4)) + buf.tobytes()
+        for byte in struct.pack("<Q", len(body)) + body:
+            comm._hub.sendall(bytes([byte]))
+            time.sleep(0.5)
+    if fault != "exit":
         time.sleep(8.0)
     os._exit(0)
 t0 = time.monotonic()
@@ -707,11 +714,14 @@ sys.exit(1)
 """
 
 
-@pytest.mark.parametrize("culprit,fault", [(2, "exit"), (2, "sleep"), (0, "exit")],
-                         ids=["leaf-exits", "leaf-sleeps", "hub-exits"])
+@pytest.mark.parametrize("culprit,fault", [(2, "exit"), (2, "sleep"), (0, "exit"),
+                                           (2, "garbage"), (2, "trickle")],
+                         ids=["leaf-exits", "leaf-sleeps", "hub-exits",
+                              "leaf-sends-garbage", "leaf-trickles"])
 def test_a_failed_rank_process_raises_comm_error_on_every_other_rank(culprit, fault):
     # three rank processes with timeout=3; after one good allreduce the
-    # culprit exits or sleeps, and every other rank's next allreduce must
+    # culprit exits, sleeps, writes 64 bytes of 0xff to its hub socket or
+    # trickles a valid frame, and every other rank's next allreduce must
     # raise a CommError subclass within the timeout plus 1 s
     port = free_port()
     hosts = ",".join([f"127.0.0.1:{port}"] * 3)

@@ -1,9 +1,11 @@
 """Distributed array semantics against dense numpy oracles."""
 
+import time
+
 import numpy as np
 import pytest
 
-from blockstat.comm import ReduceOp, run_inproc
+from blockstat.comm import ReduceOp, launch, run_inproc
 from blockstat.distarray import (
     BroadcastError,
     DistributionError,
@@ -165,6 +167,32 @@ def test_rand_fill_uniform_range_and_normal():
     u, g = run_inproc(3, fn)[0]
     assert np.all((u >= 0) & (u < 1))
     assert np.any(g < 0)  # normal draws include negatives
+
+
+@pytest.mark.parametrize("setup,error", [
+    (lambda comm: distribute(np.zeros(4, np.int32) if comm.rank == 0 else None, comm),
+     DistributionError),
+    (lambda comm: rand_fill(zeros((2, 5), comm, np.int64), seed=1, common_init=True),
+     ValueError),
+    (lambda comm: rand_fill(zeros((2, 5), comm), seed=1, common_init=True, dist="bogus"),
+     ValueError),
+    (lambda comm: rand_fill(zeros((2, 5), comm), seed=-1, common_init=True), ValueError),
+], ids=["distribute-int32", "rand-fill-int64", "rand-fill-unknown-dist",
+        "rand-fill-negative-seed"])
+def test_a_set_up_error_raises_the_same_type_on_every_rank_at_once(setup, error):
+    # each rank catches its own error, so a rank that raised alone would leave
+    # the others waiting out the 1 s timeout
+    def fn(comm):
+        t0 = time.monotonic()
+        try:
+            setup(comm)
+        except Exception as exc:  # noqa: BLE001 - the type is what is checked
+            return type(exc), time.monotonic() - t0
+        return None, time.monotonic() - t0
+
+    results = launch("inproc:3", fn, timeout=1.0)
+    assert [kind for kind, _ in results] == [error] * 3
+    assert max(waited for _, waited in results) < 0.5
 
 
 def test_map_broadcast_replicated_column():

@@ -656,6 +656,33 @@ def test_cox_ties_rejected_without_breslow():
         run_inproc(2, fn)
 
 
+@pytest.mark.parametrize("lam,sigma,match", [
+    (-1.0, None, "lambda"), (np.inf, None, "lambda"), (np.nan, 0.1, "lambda"),
+    (0.1, np.nan, "step size"), (0.1, np.inf, "step size"), (0.1, -1.0, "step size"),
+])
+def test_cox_init_rejects_bad_lambda_or_sigma_on_every_rank_before_any_collective(
+        lam, sigma, match):
+    x_d, y_d, delta_d = _make_survival(rng(78), 8, 3)
+
+    def fn(comm):
+        x = _dist(comm, x_d)
+        before = comm.stats()
+        with pytest.raises(ValueError, match=match):
+            cox_init(x, y_d, delta_d, lam=lam, sigma=sigma)
+        return comm.stats() == before
+
+    assert run_inproc(3, fn) == [True] * 3
+
+
+def test_cox_default_step_on_all_zero_x_raises_on_every_rank():
+    def fn(comm):
+        with pytest.raises(ValueError, match="--sigma"):
+            cox_init(zeros((6, 3), comm), np.arange(6.0, 0.0, -1.0), np.ones(6), lam=0.1)
+        return True
+
+    assert run_inproc(3, fn) == [True] * 3
+
+
 def test_cox_gradient_matches_finite_differences():
     gen = rng(74)
     x_d, y_d, delta_d = _make_survival(gen, 12, 4)
