@@ -38,8 +38,8 @@ import numpy as np
 
 from . import comm as _comm
 from .comm import _CODE_DTYPES, _DTYPE_CODES, CollectiveContractError, CommError
-from .distarray import _MAX_NDIM, DistArray, distribute, empty, gather_full, rand_fill, reduce_all
-from .distarray import scan as _scan
+from .distarray import _MAX_NDIM, DistArray, _announce, _settle, distribute, empty, gather_full
+from .distarray import rand_fill, reduce_all, scan as _scan
 from .distlinalg import SCENARIOS, matmul, pairwise_euclidean
 from .solvers import (
     ConvergenceMonitor,
@@ -69,14 +69,14 @@ def _header(dtype, shape):
             + struct.pack(f"<{len(shape)}Q", *shape))
 
 
-def _block_io(path, a, header_len, write):
+def _block_io(path, a, write):
     """Write or read this rank's block of ``a`` at its byte range of the payload.
 
     The payload is column-major and ``a`` is split along its last dimension,
     so the block is one contiguous range starting ``rows * lo`` scalars in.
     """
     view = memoryview(a.local.reshape(-1, order="F")).cast("B")  # a view if F-contiguous
-    offset = header_len + math.prod(a.shape[:-1]) * a.lo * a.dtype.itemsize
+    offset = len(_header(a.dtype, a.shape)) + math.prod(a.shape[:-1]) * a.lo * a.dtype.itemsize
     with open(path, "r+b" if write else "rb") as fh:
         fh.seek(offset)
         n = fh.write(view) if write else fh.readinto(view)  # a large view is not copied
@@ -87,35 +87,26 @@ def _block_io(path, a, header_len, write):
 def write_matrix(path, array):
     """Write a distributed array; a plain array is written as a one-rank world's.
 
-    Rank 0 writes the header and sizes the file, then every rank writes its
-    own block at its own byte range, so no rank holds another rank's block.
-    A failure on any rank raises OSError on every rank.
+    Rank 0 writes the header and sizes the file, and one broadcast announces
+    the outcome.  Every rank then writes its own block at its own byte range,
+    so no rank holds another rank's block, and one allreduce settles.  A
+    failure on any rank raises OSError on every rank.
     """
     if not isinstance(array, DistArray):
         data = np.asarray(array)
         array = DistArray(_comm.init("inproc:1")[0], data.shape, data.dtype, local=data)
     if array.dtype not in _DTYPE_CODES:
         raise FormatError(f"unsupported dtype {array.dtype}")
-    comm = array.comm
     head = _header(array.dtype, array.shape)
-    status = np.zeros(1, dtype=np.int64)
-    message = ""
-    if comm.rank == 0:
-        try:
-            with open(path, "wb") as fh:
-                fh.write(head)
-                fh.truncate(len(head) + math.prod(array.shape) * array.dtype.itemsize)
-        except OSError as exc:
-            status[0], message = 1, str(exc)
-    comm.broadcast(status)
-    if not status[0]:
-        try:
-            _block_io(path, array, len(head), write=True)
-        except (OSError, FormatError) as exc:
-            status[0], message = 1, str(exc)
-    comm.allreduce(status, _comm.ReduceOp.MAX)  # a failure on any rank raises on every rank
-    if status[0]:
-        raise OSError(message or f"another rank failed to write {path}")
+
+    def create():
+        with open(path, "wb") as fh:
+            fh.write(head)
+            fh.truncate(len(head) + math.prod(array.shape) * array.dtype.itemsize)
+        return array.dtype, array.shape
+
+    _announce(array.comm, create, OSError)
+    _settle(array.comm, partial(_block_io, path, array, True), OSError, (OSError, FormatError))
 
 
 def _read_header(fh):
@@ -128,8 +119,8 @@ def _read_header(fh):
         if code not in _CODE_DTYPES:
             raise FormatError(f"unknown dtype code {code}")
         (ndim,) = struct.unpack("<Q", fh.read(8))
-        if ndim > _MAX_NDIM:  # checked before the extents are read
-            raise FormatError(f"header claims {ndim} dimensions, numpy allows {_MAX_NDIM}")
+        if not 1 <= ndim <= _MAX_NDIM:  # checked before the extents are read
+            raise FormatError(f"header claims {ndim} dimensions, numpy allows 1 to {_MAX_NDIM}")
         shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
     except struct.error as exc:
         raise FormatError(f"truncated header: {exc}") from None
@@ -139,40 +130,27 @@ def _read_header(fh):
 def read_matrix(path, comm, dtype=None):
     """Read a matrix file into a DistArray. No implicit casts.
 
-    Rank 0 checks the header and the payload size and broadcasts the status,
-    dtype code and shape; every rank then reads its own block straight into
-    its ``local``.  A failure on any rank raises FormatError on every rank.
+    Rank 0 checks the header and the payload size and announces the dtype and
+    shape in one broadcast; every rank then reads its own block straight into
+    its ``local``, and one allreduce settles.  A failure on any rank raises
+    FormatError on every rank.
     """
-    head = np.zeros(3 + _MAX_NDIM, dtype=np.int64)  # status, dtype code, ndim, extents
-    message = ""
-    if comm.rank == 0:
-        try:
-            with open(path, "rb") as fh:
-                stored, shape = _read_header(fh)
-                if dtype is not None and stored != np.dtype(dtype):
-                    raise FormatError(f"file holds {stored}, run expects {np.dtype(dtype)}")
-                want = math.prod(shape) * stored.itemsize  # Python ints: no int64 wrap
-                have = os.fstat(fh.fileno()).st_size - fh.tell()
-                if have != want:
-                    raise FormatError(f"payload is {have} bytes, expected {want}")
-                if math.prod(e for e in shape if e) * stored.itemsize > np.iinfo(np.intp).max:
-                    raise FormatError(f"extents {shape} exceed numpy's array size limit")
-            head[1:3 + len(shape)] = (_DTYPE_CODES[stored], len(shape), *shape)
-        except (OSError, FormatError) as exc:
-            head[0], message = 1, str(exc)
-    comm.broadcast(head)
-    if head[0]:
-        raise FormatError(message or "rank 0 failed to read the matrix file")
-    ndim = int(head[2])
-    out = DistArray(comm, head[3:3 + ndim], _CODE_DTYPES[int(head[1])])
-    status = np.zeros(1, dtype=np.int64)
-    try:
-        _block_io(path, out, len(_header(out.dtype, out.shape)), write=False)
-    except (OSError, FormatError) as exc:
-        status[0], message = 1, str(exc)
-    comm.allreduce(status, _comm.ReduceOp.MAX)  # a failure on any rank raises on every rank
-    if status[0]:
-        raise FormatError(message or "another rank failed to read its block")
+    def describe():
+        with open(path, "rb") as fh:
+            stored, shape = _read_header(fh)
+            if dtype is not None and stored != np.dtype(dtype):
+                raise FormatError(f"file holds {stored}, run expects {np.dtype(dtype)}")
+            want = math.prod(shape) * stored.itemsize  # Python ints: no int64 wrap
+            have = os.fstat(fh.fileno()).st_size - fh.tell()
+            if have != want:
+                raise FormatError(f"payload is {have} bytes, expected {want}")
+            if math.prod(e for e in shape if e) * stored.itemsize > np.iinfo(np.intp).max:
+                raise FormatError(f"extents {shape} exceed numpy's array size limit")
+        return stored, shape
+
+    stored, shape = _announce(comm, describe, FormatError, (OSError,))
+    out = DistArray(comm, shape, stored)
+    _settle(comm, partial(_block_io, path, out, False), FormatError, (OSError, FormatError))
     return out
 
 

@@ -206,43 +206,59 @@ def rand_fill(a, seed=None, common_init=False, dist="uniform01"):
         a.local[...] = vals.reshape(a.local.shape, order="F")
 
 
+def _announce(comm, describe, error, catch=()):
+    """Every rank gets rank 0's ``describe() -> (dtype, shape)`` by one broadcast, or raises
+    ``error`` if that raised ``error`` or one of ``catch``, or gave a dtype no collective has."""
+    head = np.zeros(3 + _MAX_NDIM, dtype=np.int64)  # status, dtype code, ndim, extents
+    message = f"rank 0 raised {error.__name__}"
+    if comm.rank == 0:
+        try:
+            dtype, shape = describe()
+            if dtype not in _DTYPE_CODES:
+                raise error(f"cannot send dtype {dtype}; use float32/float64/int64")
+            head[1:3 + len(shape)] = (_DTYPE_CODES[dtype], len(shape), *shape)
+        except (error, *catch) as exc:
+            head[0], message = 1, str(exc)
+    comm.broadcast(head)
+    if head[0]:
+        raise error(message)
+    return _CODE_DTYPES[int(head[1])], tuple(int(e) for e in head[3:3 + head[2]])
+
+
+def _settle(comm, step, error, catch):
+    """Run ``step()`` on every rank, then one MAX allreduce of a status: if it
+    raised one of ``catch`` on any rank, every rank raises ``error``."""
+    status = np.zeros(1, dtype=np.int64)
+    message = f"another rank raised {error.__name__}"
+    try:
+        step()
+    except catch as exc:
+        status[0], message = 1, str(exc)
+    comm.allreduce(status, ReduceOp.MAX)
+    if status[0]:
+        raise error(message)
+
+
 def distribute(data, comm):
     """Distribute a dense array residing on rank 0 over all ranks.
 
-    Other ranks pass ``None`` or an empty placeholder; rank 0's dtype and
-    shape, or that its dtype cannot be distributed, are announced in one
-    broadcast, then blocks are scattered in column-major chunks along the
-    last dimension.
+    Other ranks pass ``None`` or an empty placeholder.  One broadcast announces
+    rank 0's dtype and shape, or that its dtype cannot be sent; blocks are then
+    scattered in column-major chunks along the last dimension.  A placeholder
+    that disagrees raises on its own rank after the scatter, so none waits.
     """
-    head = np.zeros(3 + _MAX_NDIM, dtype=np.int64)  # status, dtype code, ndim, extents
-    what = "rank 0's dtype"
     if comm.rank == 0:
         data = np.asarray(data)
-        what = f"dtype {data.dtype}"
-        if data.dtype in _DTYPE_CODES:
-            head[1:3 + data.ndim] = (_DTYPE_CODES[data.dtype], data.ndim, *data.shape)
-        else:
-            head[0] = 1
-    comm.broadcast(head)
-    if head[0]:  # every rank raises
-        raise DistributionError(f"cannot distribute {what}; use float32/float64/int64")
-    shape = tuple(int(e) for e in head[3:3 + head[2]])
-    dtype = _CODE_DTYPES[int(head[1])]
-    if comm.rank != 0 and data is not None:
-        placeholder = np.asarray(data)
-        if placeholder.size and placeholder.shape != shape:
-            raise DistributionError(
-                f"placeholder shape {placeholder.shape} disagrees with announced {shape}"
-            )
-        if placeholder.dtype != dtype:
-            raise DistributionError(
-                f"placeholder dtype {placeholder.dtype} disagrees with announced {dtype}"
-            )
+    dtype, shape = _announce(comm, lambda: (data.dtype, data.shape), DistributionError)
     out = DistArray(comm, shape, dtype)
-    rows = _rows(shape)
-    counts = [rows * w for w in out.partition.counts()]
+    counts = [_rows(shape) * w for w in out.partition.counts()]
     send = np.ravel(data, order="F") if comm.rank == 0 else None
     comm.scatterv(send, out.local, counts)  # F-contiguous, so filled in place
+    if comm.rank != 0 and data is not None:
+        data = np.asarray(data)
+        if (data.size and data.shape != shape) or data.dtype != dtype:
+            raise DistributionError(f"placeholder {data.shape} {data.dtype} disagrees with "
+                                    f"announced {shape} {dtype}")
     return out
 
 

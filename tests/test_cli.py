@@ -110,6 +110,7 @@ _BAD_FILES = {
     "wrong-payload-size": _dsta(1, 2, 2) + b"\x00" * 8,
     "int64-wrapping-extents": _dsta(1, 2 ** 32, 2 ** 32),
     "empty-but-beyond-numpy": _dsta(1, 0, 2 ** 62),  # no payload, yet no numpy array fits
+    "zero-dimensions": _dsta(1) + b"\x00" * 8,  # one scalar's payload
 }
 
 

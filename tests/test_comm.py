@@ -685,9 +685,14 @@ def test_the_join_timeout_bounds_the_whole_join(size, after, every):
 _FAULTY_RANK = """
 import os, struct, sys, time
 import numpy as np
-from blockstat.comm import CommError, _Header, _Op, _pack_header, init
+from blockstat.comm import CommError, _Header, _Op, _pack_header, init, launch
 
 rank, hosts, culprit, fault = int(sys.argv[1]), sys.argv[2], int(sys.argv[3]), sys.argv[4]
+if rank == culprit and fault == "raise":  # out of the function launch runs, after one allreduce
+    def fail(comm):
+        comm.allreduce(np.full(4, rank + 1.0))
+        raise RuntimeError("the culprit raises")
+    launch(f"tcp:{hosts},rank={rank}", fail, timeout=3.0)
 comm = init(f"tcp:{hosts},rank={rank}", timeout=3.0)
 buf = np.full(4, rank + 1.0)
 comm.allreduce(buf)
@@ -715,14 +720,15 @@ sys.exit(1)
 
 
 @pytest.mark.parametrize("culprit,fault", [(2, "exit"), (2, "sleep"), (0, "exit"),
-                                           (2, "garbage"), (2, "trickle")],
+                                           (2, "garbage"), (2, "trickle"), (1, "raise")],
                          ids=["leaf-exits", "leaf-sleeps", "hub-exits",
-                              "leaf-sends-garbage", "leaf-trickles"])
+                              "leaf-sends-garbage", "leaf-trickles", "leaf-raises"])
 def test_a_failed_rank_process_raises_comm_error_on_every_other_rank(culprit, fault):
     # three rank processes with timeout=3; after one good allreduce the
-    # culprit exits, sleeps, writes 64 bytes of 0xff to its hub socket or
-    # trickles a valid frame, and every other rank's next allreduce must
-    # raise a CommError subclass within the timeout plus 1 s
+    # culprit exits, sleeps, writes 64 bytes of 0xff to its hub socket,
+    # trickles a valid frame or raises out of the function launch runs, and
+    # every other rank's next allreduce must raise a CommError subclass
+    # within the timeout plus 1 s
     port = free_port()
     hosts = ",".join([f"127.0.0.1:{port}"] * 3)
     env = dict(os.environ)

@@ -105,6 +105,28 @@ def test_distribute_placeholder_mismatch():
         run_inproc(2, fn)
 
 
+def test_a_mismatched_placeholder_raises_on_its_rank_only_after_the_scatter(world_runner):
+    # rank 1 catches its own error; had it raised before the scatter, the
+    # others would still be in it when rank 1 reached the barrier
+    data = np.arange(6.0).reshape(2, 3)
+
+    def fn(comm):
+        t0 = time.monotonic()
+        mine, block = {0: data, 1: np.zeros((9, 9))}.get(comm.rank), None
+        try:
+            block = distribute(mine, comm).local
+        except DistributionError:
+            assert comm.rank == 1
+        comm.barrier()
+        return block, time.monotonic() - t0
+
+    results = world_runner(3, fn)
+    assert max(waited for _, waited in results) < 0.5
+    assert results[1][0] is None
+    np.testing.assert_array_equal(results[0][0], data[:, :1])
+    np.testing.assert_array_equal(results[2][0], data[:, 2:])
+
+
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 8])
 def test_roundtrip_random_shapes(p):
     gen = rng(90 + p)

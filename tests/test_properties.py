@@ -2,14 +2,18 @@
 distribution, column-gather, random-fill, elementwise, scan and reduction
 contracts on every rank count, every collective on both backends, the blocks
 of a matrix file, the spectral-norm estimate against the SVD, MDS, NMF and
-Cox traces and coincident points on every rank count and both backends, and
-the Cox tied-block indices."""
+Cox traces and coincident points on every rank count and both backends, the
+Cox tied-block indices, and every rank failing in time when one rank fails at
+any collective of a communicating entry point."""
+
+from functools import partial
+import time
 
 import numpy as np
 import pytest
 
 from blockstat.cli import read_matrix, write_matrix
-from blockstat.comm import ReduceOp, run_inproc
+from blockstat.comm import CommError, ReduceOp, launch, run_inproc
 from blockstat.distarray import (
     DistArray,
     _gather,
@@ -530,3 +534,110 @@ def test_nmf_and_cox_traces_independent_of_rank_count_and_backend(case):
                               run_socket(2, _solver_traces, *case)):
         for i, t in zip(inproc, socket):
             _assert_bitwise(t, i)
+
+
+# -- a rank that fails at any collective ------------------------------------------
+
+_FAIL_X = np.random.Generator(np.random.Philox(5)).random((4, 5)) + 0.1
+
+
+class _Injected(RuntimeError):
+    """The failure one rank raises in place of a collective."""
+
+
+def _dist_x(comm, data=_FAIL_X):
+    return distribute(data if comm.rank == 0 else None, comm)
+
+
+def _solver_entry(init, fit, data=_FAIL_X):
+    def entry(comm, path):
+        x = _dist_x(comm, data)
+        return lambda: fit(init(x), 3)
+    return entry
+
+
+def _matmul_entry(row):
+    def entry(comm, path):
+        b = _FAIL_X[0] if "vec" in SCENARIOS[row][1] else _FAIL_X.T
+        return partial(matmul, *scenario_operands(row, _FAIL_X, b, comm))
+    return entry
+
+
+# Each entry distributes its inputs, then returns the call whose collectives are
+# counted and failed: a solver's init and 3 iterations, and one matmul row for
+# each way of forming C that communicates (a "local" row makes no collective).
+_FAILING_ENTRIES = {
+    "read_matrix": lambda comm, path: partial(read_matrix, path, comm),
+    "write_matrix": lambda comm, path: partial(write_matrix, f"{path}.copy", _dist_x(comm)),
+    "distribute": lambda comm, path: partial(_dist_x, comm),
+    "rand_fill": lambda comm, path: partial(rand_fill, empty((3, 4), comm), seed=1,
+                                            common_init=True),
+    "opnorm": lambda comm, path: partial(opnorm, _dist_x(comm)),
+    **{f"matmul-{row}": _matmul_entry(row) for row in "abgq"},
+    "nmf": _solver_entry(lambda x: nmf_init(x, 2, seed=1), nmf_multiplicative),
+    "nmf-apg": _solver_entry(lambda x: nmf_init(x, 2, seed=1), nmf_apg),
+    "mds": _solver_entry(lambda y: mds_init(y, 2, seed=1), mds_fit,
+                         np.sqrt(((_FAIL_X[:, :, None] - _FAIL_X[:, None, :]) ** 2).sum(axis=0))),
+    "cox": _solver_entry(lambda x: cox_init(x, np.arange(4.0, 0.0, -1.0),
+                                            np.array([1.0, 0.0, 1.0, 1.0]), lam=0.1), cox_fit),
+}
+
+
+def _calls(comm):
+    return sum(op["calls"] for op in comm.stats().values())
+
+
+def _entry_collectives(comm, name, path):
+    call = _FAILING_ENTRIES[name](comm, path)
+    before = _calls(comm)
+    call()
+    return _calls(comm) - before
+
+
+def _fail_at(comm, name, path, culprit, k, outcomes):
+    """Run entry ``name`` with ``culprit``'s k-th collective after the set-up
+    raising ``_Injected``; record what this rank raised (or returned) and when.
+    A rank still waking from the set-up's last collective may raise there."""
+    t0 = time.monotonic()
+    try:
+        call = _FAILING_ENTRIES[name](comm, path)
+        if comm.rank == culprit:
+            run, seen = comm._run, [0]
+
+            def failing_run(*args, **kwargs):
+                seen[0] += 1
+                if seen[0] == k:
+                    raise _Injected(f"collective {k} of {name}")
+                return run(*args, **kwargs)
+
+            comm._run = failing_run
+        call()
+    except BaseException as exc:
+        outcomes[comm.rank] = (exc, time.monotonic() - t0)
+        raise
+    outcomes[comm.rank] = ("returned", time.monotonic() - t0)
+
+
+def test_a_rank_failing_at_any_collective_fails_every_rank_in_time(tmp_path):
+    path = str(tmp_path / "x.dsta")
+    write_matrix(path, _FAIL_X)
+    counts = {(name, p): launch(f"inproc:{p}", _entry_collectives, name, path)[0]
+              for name in _FAILING_ENTRIES for p in (2, 3)}
+
+    @_examples(300)
+    @given(st.data())
+    def check(data):
+        name = data.draw(st.sampled_from(sorted(_FAILING_ENTRIES)))
+        p = data.draw(st.sampled_from([2, 3]))
+        culprit = data.draw(st.integers(0, p - 1))
+        k = data.draw(st.integers(1, counts[name, p]))
+        outcomes = [None] * p
+        with pytest.raises((_Injected, CommError)):
+            launch(f"inproc:{p}", _fail_at, name, path, culprit, k, outcomes, timeout=1.0)
+        for rank, (outcome, waited) in enumerate(outcomes):
+            assert waited < 1.0 + 0.5, (rank, outcome)
+            assert not isinstance(outcome, KeyError), (rank, outcome)
+            want = _Injected if rank == culprit else CommError
+            assert isinstance(outcome, want), (rank, outcome)
+
+    check()
