@@ -6,15 +6,16 @@ Subcommands
 ``nmf``    factorize a matrix, both update rules available
 ``mds``    embed points (columns of the input) into few dimensions
 ``cox``    L1-regularized proportional-hazards fit
-``bench``  run one matmul scenario or a scan against its dense oracle
+``bench``  run one matmul scenario (rows a-q) or a scan against its dense oracle
 
-Every command runs on all ranks of the configured backend.  Every rank opens
-a matrix file itself and reads or writes only its own byte range, so ranks on
-different hosts need the same path on a shared file system; rank 0 alone
-checks or writes the header and writes the trace.  The backend comes from
-``--backend`` unless the environment variable ``DISTSTAT_BACKEND`` is set,
-which overrides the flag.  ``nmf``, ``mds`` and ``cox`` make one solver call;
-the trace's ``elapsed_s`` is rank 0's ``iter_stats`` seconds since it began.
+Every command runs on all ranks of the configured backend; ``--precision``
+belongs to ``gen`` and the solvers, ``--trace`` to the solvers alone.  Every
+rank opens a matrix file itself and reads or writes only its own byte range,
+so ranks on different hosts need the same path on a shared file system; rank
+0 alone checks or writes the header and writes the trace.  The backend comes
+from ``--backend`` unless the environment variable ``DISTSTAT_BACKEND`` is
+set, which overrides the flag.  A solver command makes one solver call; the
+trace's ``elapsed_s`` is rank 0's ``iter_stats`` seconds since it began.
 
 Matrix files are binary: magic ``DSTA``, one dtype byte (0=f32, 1=f64,
 2=i64), the number of dimensions as a little-endian u64, one u64 extent per
@@ -154,14 +155,6 @@ def read_matrix(path, comm, dtype=None):
     return out
 
 
-def _write_trace(comm, path, state):
-    if comm.rank == 0 and path:
-        with open(path, "w") as fh:
-            fh.write("iter,objective,elapsed_s\n")
-            for it, (obj, stats) in enumerate(zip(state.trace, state.iter_stats)):
-                fh.write(f"{it},{obj!r},{stats[0]:.6f}\n")
-
-
 # -- commands -----------------------------------------------------------------
 
 
@@ -175,35 +168,42 @@ def _cmd_gen(comm, args):
     return 0
 
 
+def _finish(comm, args, state, outputs, summary):
+    """The end of every solver command: rank 0 writes the trace CSV, every rank
+    writes each ``(path, array)`` output whose path is set, and rank 0 prints
+    ``summary(iterations, last trace entry)`` unless the trace is empty."""
+    if comm.rank == 0 and args.trace:
+        with open(args.trace, "w") as fh:
+            fh.write("iter,objective,elapsed_s\n")
+            for it, (obj, stats) in enumerate(zip(state.trace, state.iter_stats)):
+                fh.write(f"{it},{obj!r},{stats[0]:.6f}\n")
+    for path, array in outputs:
+        if path:
+            write_matrix(path, array)
+    if comm.rank == 0 and state.trace:
+        print(summary(len(state.trace), state.trace[-1]))
+    return 0
+
+
 def _cmd_nmf(comm, args):
     x = read_matrix(args.input, comm, dtype=_PRECISION[args.precision])
     state = nmf_init(x, args.rank, seed=args.seed)
     algorithm = nmf_apg if args.algorithm == "apg" else nmf_multiplicative
     algorithm(state, args.iters)
-    _write_trace(comm, args.trace, state)
-    if args.out_vt:
-        write_matrix(args.out_vt, state.Vt)
-    if args.out_w:
-        write_matrix(args.out_w, state.W)
-    if comm.rank == 0 and state.trace:
-        print(f"nmf({args.algorithm}) rank={args.rank} iters={len(state.trace)} "
-              f"objective={state.trace[-1]:.6g}")
-    return 0
+    return _finish(comm, args, state, [(args.out_vt, state.Vt), (args.out_w, state.W)],
+                   lambda iters, last: f"nmf({args.algorithm}) rank={args.rank} "
+                                       f"iters={iters} objective={last:.6g}")
 
 
 def _cmd_mds(comm, args):
     x = read_matrix(args.input, comm, dtype=_PRECISION[args.precision])
     n = x.shape[1]
     y = empty((n, n), comm, x.dtype)
-    pairwise_euclidean(y, x, chunk=args.chunk)
+    pairwise_euclidean(y, x)
     state = mds_init(y, args.embed_dim, seed=args.seed, perturb=args.perturb)
     mds_fit(state, args.iters)
-    _write_trace(comm, args.trace, state)
-    if args.out:
-        write_matrix(args.out, state.theta)
-    if comm.rank == 0 and state.trace:
-        print(f"mds q={args.embed_dim} iters={len(state.trace)} stress={state.trace[-1]:.6g}")
-    return 0
+    return _finish(comm, args, state, [(args.out, state.theta)],
+                   lambda iters, last: f"mds q={args.embed_dim} iters={iters} stress={last:.6g}")
 
 
 def _synthetic_survival(m, seed, dtype):
@@ -221,30 +221,23 @@ def _read_vector(path, comm, dtype):
 def _cmd_cox(comm, args):
     dtype = _PRECISION[args.precision]
     x = read_matrix(args.input, comm, dtype=dtype)
-    m = x.shape[0]
     if args.time and args.events:
         y = _read_vector(args.time, comm, np.float64)
         delta = _read_vector(args.events, comm, dtype)
     else:
-        y, delta = _synthetic_survival(m, args.seed, dtype)
+        y, delta = _synthetic_survival(x.shape[0], args.seed, dtype)
     state = cox_init(x, y, delta, lam=args.lam, sigma=args.sigma, ties=args.ties)
     cox_fit(state, args.iters, monitor=ConvergenceMonitor() if args.monitor else None)
-    _write_trace(comm, args.trace, state)
-    if args.out:
-        write_matrix(args.out, state.beta)
-    nnz = reduce_all(state.beta, transform=np.count_nonzero)
-    if comm.rank == 0 and state.trace:
-        print(f"cox lambda={args.lam:g} iters={len(state.trace)} "
-              f"objective={state.trace[-1]:.6g} nonzeros={nnz}")
-    return 0
+    nnz = reduce_all(state.beta, transform=np.count_nonzero)  # a collective: every rank
+    return _finish(comm, args, state, [(args.out, state.beta)],
+                   lambda iters, last: f"cox lambda={args.lam:g} iters={iters} "
+                                       f"objective={last:.6g} nonzeros={nnz}")
 
 
 def _cmd_bench(comm, args):
     gen = np.random.Generator(np.random.Philox(args.seed or 0))
     if args.op == "matmul":
         row = args.scenario
-        if row not in SCENARIOS:
-            raise FormatError(f"unknown scenario {row!r}")
         vector = SCENARIOS[row][1] in ("dvec", "rvec") or SCENARIOS[row][2] in ("dvec", "rvec")
         a_dense = gen.random((args.rows, args.inner))
         b_dense = gen.random(args.inner) if vector else gen.random((args.inner, args.cols))
@@ -274,13 +267,15 @@ _COMMANDS = {
 }
 
 
-def _add_common(sub):
+def _add_common(sub, precision=True, trace=True):
     sub.add_argument("--backend", default="inproc:1",
                      help="inproc:<P> or tcp:host:port,...,rank=<r> "
                           "(DISTSTAT_BACKEND overrides)")
-    sub.add_argument("--precision", choices=("f32", "f64"), default="f64")
+    if precision:
+        sub.add_argument("--precision", choices=("f32", "f64"), default="f64")
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--trace", default=None, help="CSV path for the objective trace")
+    if trace:
+        sub.add_argument("--trace", default=None, help="CSV path for the objective trace")
 
 
 def _build_parser():
@@ -294,7 +289,7 @@ def _build_parser():
     gen.add_argument("--dist", choices=("uniform01", "standard_normal"),
                      default="uniform01")
     gen.add_argument("--out", required=True)
-    _add_common(gen)
+    _add_common(gen, trace=False)
 
     nmf = subs.add_parser("nmf", help="nonnegative matrix factorization")
     nmf.add_argument("--input", required=True)
@@ -310,7 +305,6 @@ def _build_parser():
     mds.add_argument("--input", required=True)
     mds.add_argument("--embed-dim", type=int, required=True)
     mds.add_argument("--iters", type=int, default=100)
-    mds.add_argument("--chunk", type=int, default=64)
     mds.add_argument("--perturb", action="store_true",
                      help="perturb coincident points instead of failing")
     mds.add_argument("--out", default=None)
@@ -332,12 +326,12 @@ def _build_parser():
 
     bench = subs.add_parser("bench", help="oracle-checked micro benchmarks")
     bench.add_argument("--op", choices=("matmul", "scan"), default="matmul")
-    bench.add_argument("--scenario", default="a")
+    bench.add_argument("--scenario", choices=sorted(SCENARIOS), default="a")
     bench.add_argument("--rows", type=int, default=6)
     bench.add_argument("--inner", type=int, default=5)
     bench.add_argument("--cols", type=int, default=4)
     bench.add_argument("--axis", type=int, default=1)
-    _add_common(bench)
+    _add_common(bench, precision=False, trace=False)
     return parser
 
 

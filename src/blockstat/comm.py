@@ -330,7 +330,7 @@ class _InProcWorld:
             if not self._events[gen].wait(self._timeout):
                 self.abort()
                 raise RankAbortedError("a rank timed out mid-collective")
-            if self._broken:
+            if self._broken and self._gen == gen:  # woken by abort, not by the last arriver
                 raise RankAbortedError("world aborted")
         if self._error is not None:
             raise CollectiveContractError(self._error)

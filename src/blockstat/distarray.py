@@ -15,6 +15,7 @@ the deterministic ascending-rank collectives from :mod:`blockstat.comm`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -162,13 +163,6 @@ def fill(a, value):
     a.fill(value)
 
 
-def _rows(shape):
-    out = 1
-    for s in shape[:-1]:
-        out *= s
-    return out
-
-
 def _generator(seed):
     return np.random.Generator(np.random.Philox(seed))
 
@@ -192,7 +186,7 @@ def rand_fill(a, seed=None, common_init=False, dist="uniform01"):
         raise ValueError(f"unknown distribution {dist!r}")
     comm = a.comm
     if common_init:
-        rows = _rows(a.shape)
+        rows = math.prod(a.shape[:-1])
         gen = _generator(seed)  # on every rank, so a bad seed raises on every rank
         if comm.rank == 0:
             vals = getattr(gen, _DRAWS[dist])(rows * a.shape[-1], dtype=a.dtype)
@@ -243,15 +237,19 @@ def distribute(data, comm):
     """Distribute a dense array residing on rank 0 over all ranks.
 
     Other ranks pass ``None`` or an empty placeholder.  One broadcast announces
-    rank 0's dtype and shape, or that its dtype cannot be sent; blocks are then
-    scattered in column-major chunks along the last dimension.  A placeholder
-    that disagrees raises on its own rank after the scatter, so none waits.
+    rank 0's dtype and shape, or that numpy cannot convert its data or send its
+    dtype; blocks are then scattered in column-major chunks along the last
+    dimension.  A placeholder that disagrees raises on its own rank after the
+    scatter, so none waits.
     """
-    if comm.rank == 0:
+    def describe():
+        nonlocal data
         data = np.asarray(data)
-    dtype, shape = _announce(comm, lambda: (data.dtype, data.shape), DistributionError)
+        return data.dtype, data.shape
+
+    dtype, shape = _announce(comm, describe, DistributionError, (ValueError,))
     out = DistArray(comm, shape, dtype)
-    counts = [_rows(shape) * w for w in out.partition.counts()]
+    counts = [math.prod(shape[:-1]) * w for w in out.partition.counts()]
     send = np.ravel(data, order="F") if comm.rank == 0 else None
     comm.scatterv(send, out.local, counts)  # F-contiguous, so filled in place
     if comm.rank != 0 and data is not None:
@@ -266,7 +264,7 @@ def _gather(a, lo, hi, out):
     """Fill ``out`` on every rank with global columns [lo, hi) of ``a``, in
     column-major order, by one allgatherv (in place if ``out`` is F-contiguous)."""
     cuts = [min(max(b, lo), hi) for b in a.partition.boundaries]  # each rank's overlap
-    r, rows = a.comm.rank, _rows(a.shape)
+    r, rows = a.comm.rank, math.prod(a.shape[:-1])
     mine = a.local[..., cuts[r] - a.lo:cuts[r + 1] - a.lo]
     counts = [rows * (stop - start) for start, stop in zip(cuts, cuts[1:])]
     a.comm.allgatherv(np.ravel(mine, order="F"), out, counts)
@@ -338,7 +336,7 @@ def _reduce_neutral(op, dtype):
 
 def reduce_all(a, op=ReduceOp.SUM, transform=None):
     """Scalar fold over all global elements of ``transform(a)``."""
-    total = _rows(a.shape) * a.shape[-1]
+    total = math.prod(a.shape[:-1]) * a.shape[-1]
     if total == 0 and op in (ReduceOp.MAX, ReduceOp.MIN):
         raise ValueError("max/min reduction over an empty array")
     local = a.local if transform is None else transform(a.local)
@@ -425,7 +423,7 @@ def scan(dest, a, axis=0, op="sum"):
     ufunc.accumulate(a.local, axis=axis, out=dest.local)
     if axis != a.ndim - 1:
         return
-    rows = _rows(a.shape)
+    rows = math.prod(a.shape[:-1])
     totals = np.ravel(ufunc.reduce(a.local, axis=-1), order="F").astype(a.dtype, copy=False)
     gathered = np.empty(rows * a.comm.size, dtype=a.dtype)
     a.comm.allgatherv(totals, gathered, [rows] * a.comm.size)

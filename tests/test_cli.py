@@ -477,6 +477,20 @@ def test_usage_error_exit_2():
     assert run(["frobnicate"]) == 2   # unknown command
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--trace", "{tmp}/x.csv"],
+    ["bench", "--precision", "f32"],
+    ["bench", "--trace", "{tmp}/x.csv"],
+    ["mds", "--input", "{tmp}/X.dsta", "--embed-dim", "2", "--iters", "2", "--chunk", "8"],
+    ["bench", "--scenario", "z"],
+], ids=["gen-trace", "bench-precision", "bench-trace", "mds-chunk", "bench-unknown-scenario"])
+def test_a_flag_its_command_does_not_read_is_a_usage_error(tmp_path, argv):
+    write_matrix(tmp_path / "X.dsta", rng(45).random((3, 6)))
+    if argv[0] == "gen":
+        argv = argv + ["--rows", "2", "--cols", "3", "--out", "{tmp}/g.dsta"]
+    assert run([a.format(tmp=tmp_path) for a in argv]) == 2
+
+
 def test_missing_input_exit_1(tmp_path):
     assert run(["nmf", "--input", str(tmp_path / "nope.dsta"), "--rank", "2"]) == 1
 

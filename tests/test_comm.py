@@ -509,6 +509,23 @@ def test_inproc_buffers_reused_at_once_under_frequent_thread_switches():
     assert results == [[]] * 4
 
 
+def _allreduce_then_abort(comm):
+    """Rank 0 arrives last, so it finishes the allreduce for both ranks, then
+    aborts, often before rank 1 has woken from the finished collective."""
+    buf = np.ones(1)
+    if comm.rank == 0:
+        time.sleep(0.002)
+    comm.allreduce(buf, ReduceOp.SUM)
+    if comm.rank == 0:
+        comm.abort()
+    return float(buf[0])
+
+
+def test_a_finished_inproc_collective_returns_after_a_late_abort():
+    for _ in range(50):
+        assert launch("inproc:2", _allreduce_then_abort, timeout=5.0) == [2.0, 2.0]
+
+
 def _follow_up_after_a_rejected_frame(comm):
     """Rank 1 allreduces 2^20 values against 1; then every rank tries two more
     collectives and reports what it raised, how fast, and with what message."""

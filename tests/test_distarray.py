@@ -127,6 +127,18 @@ def test_a_mismatched_placeholder_raises_on_its_rank_only_after_the_scatter(worl
     np.testing.assert_array_equal(results[2][0], data[:, 2:])
 
 
+def test_data_numpy_cannot_convert_raises_on_every_rank(world_runner):
+    # each rank catches only DistributionError: an error raised on rank 0
+    # alone would abort the run with it
+    def fn(comm):
+        try:
+            distribute([[1.0, 2.0], [3.0]] if comm.rank == 0 else None, comm)
+        except DistributionError as exc:
+            return str(exc)
+
+    assert all(world_runner(3, fn))
+
+
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 8])
 def test_roundtrip_random_shapes(p):
     gen = rng(90 + p)

@@ -3,17 +3,18 @@ distribution, column-gather, random-fill, elementwise, scan and reduction
 contracts on every rank count, every collective on both backends, the blocks
 of a matrix file, the spectral-norm estimate against the SVD, MDS, NMF and
 Cox traces and coincident points on every rank count and both backends, the
-Cox tied-block indices, and every rank failing in time when one rank fails at
-any collective of a communicating entry point."""
+Cox tied-block indices, and every rank failing in time on both backends when
+one rank fails at any collective of a communicating entry point."""
 
 from functools import partial
+import threading
 import time
 
 import numpy as np
 import pytest
 
 from blockstat.cli import read_matrix, write_matrix
-from blockstat.comm import CommError, ReduceOp, launch, run_inproc
+from blockstat.comm import CommError, ReduceOp, init, launch, run_inproc
 from blockstat.distarray import (
     DistArray,
     _gather,
@@ -38,7 +39,7 @@ from blockstat.solvers import (
     nmf_multiplicative,
 )
 from blockstat.testing import materialize, scenario_operands, tmp_shape
-from conftest import run_socket
+from conftest import free_port, run_socket
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -634,6 +635,53 @@ def test_a_rank_failing_at_any_collective_fails_every_rank_in_time(tmp_path):
         outcomes = [None] * p
         with pytest.raises((_Injected, CommError)):
             launch(f"inproc:{p}", _fail_at, name, path, culprit, k, outcomes, timeout=1.0)
+        for rank, (outcome, waited) in enumerate(outcomes):
+            assert waited < 1.0 + 0.5, (rank, outcome)
+            assert not isinstance(outcome, KeyError), (rank, outcome)
+            want = _Injected if rank == culprit else CommError
+            assert isinstance(outcome, want), (rank, outcome)
+
+    check()
+
+
+def _tcp_ranks(p, fn, *args):
+    """Run ``fn(comm, *args)`` on p rank threads joined over loopback with a 1 s
+    timeout.  A rank that ends closes only its own communicator, as its process
+    exiting would, so no rank learns of a failure except through its sockets."""
+    hosts = ",".join([f"127.0.0.1:{free_port()}"] * p)
+
+    def rank(r):
+        comm = init(f"tcp:{hosts},rank={r}", timeout=1.0)
+        try:
+            fn(comm, *args)
+        except Exception:  # noqa: BLE001 - fn records what each rank raised
+            pass
+        finally:
+            comm.close()
+
+    threads = [threading.Thread(target=rank, args=(r,)) for r in range(p)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(5.0)
+    assert not any(t.is_alive() for t in threads)
+
+
+def test_a_rank_failing_at_any_collective_fails_every_tcp_rank_in_time(tmp_path):
+    path = str(tmp_path / "x.dsta")
+    write_matrix(path, _FAIL_X)
+    counts = {(name, p): launch(f"inproc:{p}", _entry_collectives, name, path)[0]
+              for name in _FAILING_ENTRIES for p in (2, 3)}
+
+    @_examples(60)
+    @given(st.data())
+    def check(data):
+        name = data.draw(st.sampled_from(sorted(_FAILING_ENTRIES)))
+        p = data.draw(st.sampled_from([2, 3]))
+        culprit = data.draw(st.integers(0, p - 1))
+        k = data.draw(st.integers(1, counts[name, p]))
+        outcomes = [None] * p
+        _tcp_ranks(p, _fail_at, name, path, culprit, k, outcomes)
         for rank, (outcome, waited) in enumerate(outcomes):
             assert waited < 1.0 + 0.5, (rank, outcome)
             assert not isinstance(outcome, KeyError), (rank, outcome)
