@@ -9,10 +9,12 @@ Subcommands
 ``bench``  run one matmul scenario (rows a-q) or a scan against its dense oracle
 
 Every command runs on all ranks of the configured backend; ``--precision``
-belongs to ``gen`` and the solvers, ``--trace`` to the solvers alone.  Every
-rank opens a matrix file itself and reads or writes only its own byte range,
-so ranks on different hosts need the same path on a shared file system; rank
-0 alone checks or writes the header and writes the trace.  The backend comes
+belongs to ``gen`` and the solvers, ``--trace`` to the solvers alone; ``cox
+--time`` and ``--events`` go together; ``bench --op matmul`` reads
+``--scenario`` and ``--inner``, ``--op scan`` reads ``--axis``.  Every rank
+opens a matrix file itself and reads or writes only its own byte range, so
+ranks on different hosts need the same path on a shared file system; rank 0
+alone checks or writes the header and writes the trace.  The backend comes
 from ``--backend`` unless the environment variable ``DISTSTAT_BACKEND`` is
 set, which overrides the flag.  A solver command makes one solver call; the
 trace's ``elapsed_s`` is rank 0's ``iter_stats`` seconds since it began.
@@ -213,17 +215,12 @@ def _synthetic_survival(m, seed, dtype):
     return y, delta
 
 
-def _read_vector(path, comm, dtype):
-    vec = read_matrix(path, comm, dtype=dtype)
-    return gather_full(vec).reshape(-1)
-
-
 def _cmd_cox(comm, args):
     dtype = _PRECISION[args.precision]
     x = read_matrix(args.input, comm, dtype=dtype)
-    if args.time and args.events:
-        y = _read_vector(args.time, comm, np.float64)
-        delta = _read_vector(args.events, comm, dtype)
+    if args.time is not None:  # and --events: run() refuses one without the other
+        y = gather_full(read_matrix(args.time, comm, np.float64)).reshape(-1)
+        delta = gather_full(read_matrix(args.events, comm, dtype)).reshape(-1)
     else:
         y, delta = _synthetic_survival(x.shape[0], args.seed, dtype)
     state = cox_init(x, y, delta, lam=args.lam, sigma=args.sigma, ties=args.ties)
@@ -258,13 +255,8 @@ def _cmd_bench(comm, args):
     return 0
 
 
-_COMMANDS = {
-    "gen": _cmd_gen,
-    "nmf": _cmd_nmf,
-    "mds": _cmd_mds,
-    "cox": _cmd_cox,
-    "bench": _cmd_bench,
-}
+_COMMANDS = {"gen": _cmd_gen, "nmf": _cmd_nmf, "mds": _cmd_mds, "cox": _cmd_cox,
+             "bench": _cmd_bench}
 
 
 def _add_common(sub, precision=True, trace=True):
@@ -276,6 +268,21 @@ def _add_common(sub, precision=True, trace=True):
     sub.add_argument("--seed", type=int, default=None)
     if trace:
         sub.add_argument("--trace", default=None, help="CSV path for the objective trace")
+
+
+_BENCH_READS = {"matmul": {"scenario": "a", "inner": 5}, "scan": {"axis": 1}}  # flag: default
+
+
+def _check_usage(parser, args):
+    """Exit 2 where the run would not read a flag it was given, else fill in the
+    defaults of the ``bench`` flags that its ``--op`` reads."""
+    if args.command == "cox" and (args.time is None) != (args.events is None):
+        parser.error("cox: --time and --events go together")
+    for op, flags in _BENCH_READS.items() if args.command == "bench" else ():
+        for flag, default in flags.items():
+            if op != args.op and flag in vars(args):
+                parser.error(f"bench --op {args.op} does not read --{flag}")
+            vars(args).setdefault(flag, default)
 
 
 def _build_parser():
@@ -325,12 +332,12 @@ def _build_parser():
     _add_common(cox)
 
     bench = subs.add_parser("bench", help="oracle-checked micro benchmarks")
-    bench.add_argument("--op", choices=("matmul", "scan"), default="matmul")
-    bench.add_argument("--scenario", choices=sorted(SCENARIOS), default="a")
+    bench.add_argument("--op", choices=tuple(_BENCH_READS), default="matmul")
+    bench.add_argument("--scenario", choices=sorted(SCENARIOS), default=argparse.SUPPRESS)
     bench.add_argument("--rows", type=int, default=6)
-    bench.add_argument("--inner", type=int, default=5)
+    bench.add_argument("--inner", type=int, default=argparse.SUPPRESS)
     bench.add_argument("--cols", type=int, default=4)
-    bench.add_argument("--axis", type=int, default=1)
+    bench.add_argument("--axis", type=int, default=argparse.SUPPRESS)
     _add_common(bench, precision=False, trace=False)
     return parser
 
@@ -340,6 +347,7 @@ def run(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_usage(parser, args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     backend = os.environ.get("DISTSTAT_BACKEND") or args.backend

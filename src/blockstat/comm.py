@@ -539,35 +539,6 @@ class _SocketCommunicator(Communicator):
         self.close()
 
 
-def _parse_descriptor(descriptor):
-    if descriptor.startswith("inproc:"):
-        try:
-            size = int(descriptor.split(":", 1)[1])
-        except ValueError:
-            raise CommInitError(f"bad inproc descriptor {descriptor!r}") from None
-        if size < 1:
-            raise CommInitError("world size must be >= 1")
-        return "inproc", size, None
-    if descriptor.startswith("tcp:"):
-        parts = descriptor[4:].split(",")
-        if len(parts) < 2 or not parts[-1].startswith("rank="):
-            raise CommInitError(
-                f"bad tcp descriptor {descriptor!r}; expected tcp:host:port,...,rank=<r>"
-            )
-        try:
-            rank = int(parts[-1][5:])
-            hosts = []
-            for entry in parts[:-1]:
-                host, port = entry.rsplit(":", 1)
-                hosts.append((host, int(port)))
-        except ValueError:
-            raise CommInitError(f"bad tcp descriptor {descriptor!r}") from None
-        if not 0 <= rank < len(hosts):
-            raise CommInitError(f"rank {rank} out of range for {len(hosts)} hosts")
-        return "tcp", hosts, rank
-    raise CommInitError(f"unknown backend descriptor {descriptor!r}")
-
-
 def _init_socket(hosts, rank, timeout):
     size = len(hosts)
     if size == 1:
@@ -626,42 +597,57 @@ def init(descriptor, timeout=30.0):
     """Construct communicator endpoint(s) from a backend descriptor.
 
     ``inproc:<P>`` returns a list of P endpoints sharing one world (hand
-    each to its own rank thread).  ``tcp:...,rank=<r>`` connects this
-    process's single endpoint and returns it.  ``timeout`` (seconds) bounds
-    the whole join (else :class:`CommInitError`) and each collective, from
-    its start, on both backends; a rank whose collective lasts longer raises
+    each to its own rank thread).  ``tcp:host:port,...,rank=<r>`` names one
+    ``host:port`` entry per rank, each port in 0-65535, and rank 0 listens on
+    the first; it connects this process's single endpoint and returns it.
+    Any malformed descriptor raises :class:`CommInitError` before a socket
+    is opened.  ``timeout`` (seconds) bounds the whole join (else
+    :class:`CommInitError`) and each collective, from its start, on both
+    backends; a rank whose collective lasts longer raises
     :class:`RankAbortedError` (inproc) or :class:`CommError` (tcp).
     """
-    kind, arg, rank = _parse_descriptor(descriptor)
+    kind, _, spec = descriptor.partition(":")
     if kind == "inproc":
-        world = _InProcWorld(arg, timeout)
-        return [_InProcCommunicator(world, r) for r in range(arg)]
-    return _init_socket(arg, rank, timeout)
+        if not spec.isdecimal() or int(spec) < 1:
+            raise CommInitError(f"bad inproc descriptor {descriptor!r}; P must be an integer >= 1")
+        world = _InProcWorld(int(spec), timeout)
+        return [_InProcCommunicator(world, r) for r in range(world.size)]
+    if kind != "tcp":
+        raise CommInitError(f"unknown backend descriptor {descriptor!r}")
+    *entries, last = spec.split(",")
+    try:
+        if not entries or not last.startswith("rank="):
+            raise ValueError
+        rank = int(last[5:])
+        hosts = [(host, int(port)) for host, port in (e.rsplit(":", 1) for e in entries)]
+    except ValueError:
+        raise CommInitError(
+            f"bad tcp descriptor {descriptor!r}; expected tcp:host:port,...,rank=<r>") from None
+    for _, port in hosts:
+        if not 0 <= port <= 65535:
+            raise CommInitError(f"port {port} in {descriptor!r} is outside 0-65535")
+    if not 0 <= rank < len(hosts):
+        raise CommInitError(f"rank {rank} out of range for {len(hosts)} hosts")
+    return _init_socket(hosts, rank, timeout)
 
 
 def launch(descriptor, fn, *args, timeout=30.0):
     """Run ``fn(comm, *args)`` on every rank reachable from this process.
 
-    With the in-process backend this spawns one thread per rank and returns
-    the list of all ranks' results.  With the socket backend it runs the
-    single local rank and returns a one-element list.  ``timeout`` is as
-    for :func:`init`.
+    With the in-process backend this runs each rank in its own thread,
+    named ``rank-<i>``, and returns the list of all ranks' results; a rank
+    that raises aborts the world, so the others stop waiting.  With the
+    socket backend it runs the single local rank and returns a one-element
+    list.  Every communicator is closed at the end.  A failed run raises the
+    first error in rank order that is not a :class:`RankAbortedError`, or
+    else the first.  ``timeout`` is as for :func:`init`.
     """
-    comm = init(descriptor, timeout=timeout)
-    if isinstance(comm, list):
-        return _run_threads(comm, fn, args)
-    try:
-        return [fn(comm, *args)]
-    finally:
-        comm.close()
-
-
-def run_inproc(size, fn, *args):
-    """Convenience wrapper: ``launch(f"inproc:{size}", fn, *args)``."""
-    return launch(f"inproc:{size}", fn, *args)
-
-
-def _run_threads(comms, fn, args):
+    comms = init(descriptor, timeout=timeout)
+    if not isinstance(comms, list):
+        try:
+            return [fn(comms, *args)]
+        finally:
+            comms.close()
     results = [None] * len(comms)
     errors = [None] * len(comms)
 
@@ -680,10 +666,12 @@ def _run_threads(comms, fn, args):
         t.join()
     for comm in comms:
         comm.close()
-    primary = [e for e in errors if e is not None and not isinstance(e, RankAbortedError)]
-    if primary:
-        raise primary[0]
-    for e in errors:
-        if e is not None:
-            raise e
+    failed = [e for e in errors if e is not None]
+    if failed:
+        raise next((e for e in failed if not isinstance(e, RankAbortedError)), failed[0])
     return results
+
+
+def run_inproc(size, fn, *args):
+    """Convenience wrapper: ``launch(f"inproc:{size}", fn, *args)``."""
+    return launch(f"inproc:{size}", fn, *args)

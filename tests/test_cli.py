@@ -491,6 +491,25 @@ def test_a_flag_its_command_does_not_read_is_a_usage_error(tmp_path, argv):
     assert run([a.format(tmp=tmp_path) for a in argv]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--op", "scan", "--scenario", "b"],
+    ["--op", "scan", "--inner", "3"],
+    ["--op", "matmul", "--axis", "0"],
+], ids=["scan-scenario", "scan-inner", "matmul-axis"])
+def test_a_bench_flag_its_op_does_not_read_is_a_usage_error(capsys, argv):
+    assert run(["bench", *argv, "--backend", "inproc:2"]) == 2
+    assert f"does not read {argv[2]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--time", "--events"])
+def test_cox_time_and_events_go_together(tmp_path, capsys, flag):
+    write_matrix(tmp_path / "X.dsta", rng(46).random((6, 4)))
+    argv = ["cox", "--input", str(tmp_path / "X.dsta"), "--lambda", "1e-3", "--iters", "2",
+            flag, str(tmp_path / "absent.dsta")]  # refused before any file is read
+    assert run(argv) == 2
+    assert "--time and --events go together" in capsys.readouterr().err
+
+
 def test_missing_input_exit_1(tmp_path):
     assert run(["nmf", "--input", str(tmp_path / "nope.dsta"), "--rank", "2"]) == 1
 

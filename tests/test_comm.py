@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import blockstat.comm as comm_module
 from blockstat.comm import (
     _HEADER_FMT,
     CollectiveContractError,
@@ -45,6 +46,37 @@ def test_init_rejects_bad_descriptors():
     for desc in ["inproc:0", "mpi:4", "tcp:localhost", "tcp:h:x,rank=0"]:
         with pytest.raises(CommInitError):
             init(desc)
+
+
+@pytest.mark.parametrize("port", [-1, 70000])
+@pytest.mark.parametrize("rank", [0, 1], ids=["hub", "leaf"])
+def test_a_port_outside_0_to_65535_is_an_init_error(rank, port):
+    start = time.monotonic()
+    with pytest.raises(CommInitError, match=f"port {port} "):
+        init(f"tcp:127.0.0.1:{port},127.0.0.1:{port},rank={rank}", timeout=5.0)
+    assert time.monotonic() - start < 1.0  # refused before any socket, not at the timeout
+
+
+def test_launch_raises_the_failing_rank_error_and_closes_every_rank(monkeypatch):
+    closed, names, errors = [], [None] * 3, [None] * 3
+    monkeypatch.setattr(comm_module._InProcCommunicator, "close",
+                        lambda self: closed.append(self.rank))
+
+    def fn(comm):
+        names[comm.rank] = threading.current_thread().name
+        try:
+            if comm.rank == 2:
+                raise ValueError("rank 2 fails")
+            comm.allreduce(np.ones(4))
+        except Exception as exc:
+            errors[comm.rank] = exc
+            raise
+
+    with pytest.raises(ValueError, match="rank 2 fails"):
+        launch("inproc:3", fn, timeout=10.0)
+    assert [type(e) for e in errors] == [RankAbortedError, RankAbortedError, ValueError]
+    assert names == ["rank-0", "rank-1", "rank-2"]
+    assert sorted(closed) == [0, 1, 2]
 
 
 def test_socket_unreachable_hub_fails():
