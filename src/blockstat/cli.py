@@ -11,13 +11,14 @@ Subcommands
 Every command runs on all ranks of the configured backend; ``--precision``
 belongs to ``gen`` and the solvers, ``--trace`` to the solvers alone; ``cox
 --time`` and ``--events`` go together; ``bench --op matmul`` reads
-``--scenario`` and ``--inner``, ``--op scan`` reads ``--axis``.  Every rank
-opens a matrix file itself and reads or writes only its own byte range, so
-ranks on different hosts need the same path on a shared file system; rank 0
-alone checks or writes the header and writes the trace.  The backend comes
-from ``--backend`` unless the environment variable ``DISTSTAT_BACKEND`` is
-set, which overrides the flag.  A solver command makes one solver call; the
-trace's ``elapsed_s`` is rank 0's ``iter_stats`` seconds since it began.
+``--scenario``, ``--inner`` and, unless B or C is a vector, ``--cols``;
+``--op scan`` reads ``--axis``.  Every rank opens a matrix file itself and
+reads or writes only its own byte range, so ranks on different hosts need
+the same path on a shared file system; rank 0 alone checks or writes the
+header and writes the trace.  The backend comes from ``--backend`` unless the
+environment variable ``DISTSTAT_BACKEND`` is set, which overrides the flag.
+A solver command makes one solver call; the trace's ``elapsed_s`` is rank 0's
+``iter_stats`` seconds since it began.
 
 Matrix files are binary: magic ``DSTA``, one dtype byte (0=f32, 1=f64,
 2=i64), the number of dimensions as a little-endian u64, one u64 extent per
@@ -235,9 +236,8 @@ def _cmd_bench(comm, args):
     gen = np.random.Generator(np.random.Philox(args.seed or 0))
     if args.op == "matmul":
         row = args.scenario
-        vector = SCENARIOS[row][1] in ("dvec", "rvec") or SCENARIOS[row][2] in ("dvec", "rvec")
         a_dense = gen.random((args.rows, args.inner))
-        b_dense = gen.random(args.inner) if vector else gen.random((args.inner, args.cols))
+        b_dense = gen.random((args.inner,) if row in _VECTOR_ROWS else (args.inner, args.cols))
         c, a, b = scenario_operands(row, a_dense, b_dense, comm)
         label, want, op = f"matmul scenario {row}", a_dense @ b_dense, partial(matmul, c, a, b)
     else:
@@ -271,6 +271,7 @@ def _add_common(sub, precision=True, trace=True):
 
 
 _BENCH_READS = {"matmul": {"scenario": "a", "inner": 5}, "scan": {"axis": 1}}  # flag: default
+_VECTOR_ROWS = {row for row, kinds in SCENARIOS.items() if {"dvec", "rvec"} & set(kinds[1:])}
 
 
 def _check_usage(parser, args):
@@ -278,11 +279,16 @@ def _check_usage(parser, args):
     defaults of the ``bench`` flags that its ``--op`` reads."""
     if args.command == "cox" and (args.time is None) != (args.events is None):
         parser.error("cox: --time and --events go together")
-    for op, flags in _BENCH_READS.items() if args.command == "bench" else ():
+    if args.command != "bench":
+        return
+    for op, flags in _BENCH_READS.items():
         for flag, default in flags.items():
             if op != args.op and flag in vars(args):
                 parser.error(f"bench --op {args.op} does not read --{flag}")
             vars(args).setdefault(flag, default)
+    if args.scenario in _VECTOR_ROWS and "cols" in vars(args):
+        parser.error(f"bench --scenario {args.scenario} does not read --cols")
+    vars(args).setdefault("cols", 4)
 
 
 def _build_parser():
@@ -336,7 +342,7 @@ def _build_parser():
     bench.add_argument("--scenario", choices=sorted(SCENARIOS), default=argparse.SUPPRESS)
     bench.add_argument("--rows", type=int, default=6)
     bench.add_argument("--inner", type=int, default=argparse.SUPPRESS)
-    bench.add_argument("--cols", type=int, default=4)
+    bench.add_argument("--cols", type=int, default=argparse.SUPPRESS)
     bench.add_argument("--axis", type=int, default=argparse.SUPPRESS)
     _add_common(bench, precision=False, trace=False)
     return parser

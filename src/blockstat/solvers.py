@@ -30,6 +30,7 @@ from .distarray import (
     empty,
     gather_full,
     map_broadcast,
+    partition_of,
     rand_fill,
     reduce_all,
     transpose,
@@ -90,16 +91,18 @@ def _record(state, objective, comm, start):
 
 @dataclass
 class NmfState:
-    """Factors (stored as Vt, W) plus the replicated buffers of the two allreduces."""
+    """Factors (stored as Vt, W), the buffers of the two allreduces and two workspaces."""
 
     X: DistArray
-    Vt: DistArray          # r x m, transpose of the left factor
+    Vt: DistArray          # r x m, transpose of the left factor; local is a view of stage
     W: DistArray           # r x n
     stage: np.ndarray      # r x (2m + r) replicated [W X^t | all of Vt | W W^t]: one allreduce
     reduced: np.ndarray    # (r^2 + 1,) replicated W W^t, then <Vt X, W>: one allreduce
     WWt: np.ndarray        # r x r F-order view of reduced[:-1], kept current with W
     VtX: DistArray         # r x n
     VtV: np.ndarray        # r x r replicated, formed from all of Vt in stage
+    work_m: np.ndarray     # r x m C-order: W X^t, then W W^t Vt (the Vt step's model)
+    work_n: np.ndarray     # r x (hi - lo) C-order: Vt X, then Vt V W (the W step's model)
     X_sqnorm: float        # ||X||_F^2, the fixed term of the traced objective
     trace: list = field(default_factory=list)
     iter_stats: list = field(default_factory=list)  # per entry: (s, collective s, collectives)
@@ -121,18 +124,21 @@ def nmf_init(x, rank, seed=None):
     m, n = x.shape
     comm = x.comm
     dt = x.dtype
-    vt = empty((rank, m), comm, dt)
+    stage = np.empty((rank, 2 * m + rank), dtype=dt, order="F")
+    own = partition_of(m, comm.size)
+    vt = DistArray(comm, (rank, m), dt, local=stage[:, m + own.lo(comm.rank):m + own.hi(comm.rank)])
     w = empty((rank, n), comm, dt)
     rand_fill(vt, seed=seed, common_init=True)
     rand_fill(w, seed=None if seed is None else seed + 1, common_init=True)
     reduced = np.empty(rank * rank + 1, dtype=dt)
     return NmfState(
-        X=x, Vt=vt, W=w,
-        stage=np.empty((rank, 2 * m + rank), dtype=dt, order="F"),
+        X=x, Vt=vt, W=w, stage=stage,
         reduced=reduced,
         WWt=reduced[:-1].reshape((rank, rank), order="F"),
         VtX=empty((rank, n), comm, dt),
         VtV=np.empty((rank, rank), dtype=dt, order="F"),
+        work_m=np.empty((rank, m), dtype=dt),
+        work_n=np.empty(w.local.shape, dtype=dt),
         X_sqnorm=x_sqnorm,
     )
 
@@ -151,37 +157,43 @@ def nmf_objective(x, vt, w):
 
 def _multiplicative_step(f, data, model, gram):
     """Lee-Seung step ``f * data / (model + eps)``, in place."""
-    f[...] = f * data / (model + _NMF_EPS)
+    np.add(model, _NMF_EPS, out=model)
+    np.multiply(f, data, out=f)
+    np.divide(f, model, out=f)
 
 
 def _apg_step(f, data, model, gram):
     """Projected step of size ``1 / (2 ||gram||_F)`` along ``model - data``, in place."""
     step = 1.0 / (2.0 * float(np.sqrt(np.sum(gram ** 2))) + _NMF_EPS)
-    f[...] = np.maximum(0.0, f - step * (model - data))
+    np.subtract(model, data, out=model)
+    np.multiply(model, step, out=model)
+    np.subtract(f, model, out=model)
+    np.maximum(0.0, model, out=f)
 
 
 def _nmf_run(s, iters, update):
     """Step Vt, then W, by ``update(factor, data, model, gram)`` and trace each
-    iterate; ``data`` is the product with X, ``model`` with the Gram matrix.
-    Two allreduces per iteration, both from the current W, so none per call:
-    ``stage`` sums the partial W X^t and W W^t and assembles all of Vt from
-    each rank's columns and zeros (an exact sum), so every rank steps all of
-    Vt; then ``reduced``."""
+    iterate; ``data`` is the product with X, ``model`` the product with the
+    Gram matrix, which is scratch: the update overwrites it.  Two allreduces
+    per iteration, both from the current W, so none per call: ``stage`` sums
+    the partial W X^t and W W^t and assembles all of Vt from each rank's
+    columns (``Vt.local`` is a view of them) and zeros (an exact sum), so
+    every rank steps all of Vt; then ``reduced``."""
     comm, m = s.X.comm, s.Vt.shape[1]
     wxt, vt, wwt = s.stage[:, :m], s.stage[:, m:2 * m], s.stage[:, 2 * m:]
-    X, W, own = s.X.local, s.W.local, slice(s.Vt.lo, s.Vt.hi)
+    X, W, lo, hi = s.X.local, s.W.local, s.Vt.lo, s.Vt.hi
     start = _totals(comm)
     for _ in range(iters):
-        wxt[...] = W @ X.T
-        vt[...] = 0
-        vt[:, own] = s.Vt.local
+        # r-row products go to C-order workspaces, numpy's own layout for them: BLAS can
+        # round an F-order out differently
+        np.copyto(wxt, np.matmul(W, X.T, out=s.work_m))
+        vt[:, :lo], vt[:, hi:] = 0, 0
         np.matmul(W, W.T, out=wwt)
         comm.allreduce(s.stage, ReduceOp.SUM)
-        update(vt, wxt, wwt @ vt, wwt)
-        s.Vt.local[...] = vt[:, own]
-        s.VtX.local[...] = vt @ X  # not out=: BLAS can round an F-order out differently
+        update(vt, wxt, np.matmul(wwt, vt, out=s.work_m), wwt)
+        np.copyto(s.VtX.local, np.matmul(vt, X, out=s.work_n))
         np.matmul(vt, vt.T, out=s.VtV)
-        update(W, s.VtX.local, s.VtV @ W, s.VtV)
+        update(W, s.VtX.local, np.matmul(s.VtV, W, out=s.work_n), s.VtV)
         np.matmul(W, W.T, out=s.WWt)
         s.reduced[-1] = np.dot(np.ravel(s.VtX.local, order="F"), np.ravel(W, order="F"))
         comm.allreduce(s.reduced, ReduceOp.SUM)

@@ -501,6 +501,14 @@ def test_a_bench_flag_its_op_does_not_read_is_a_usage_error(capsys, argv):
     assert f"does not read {argv[2]}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row", ["l", "o", "q"])
+def test_bench_cols_on_a_vector_row_is_a_usage_error(capsys, row):
+    argv = ["bench", "--op", "matmul", "--scenario", row, "--backend", "inproc:2"]
+    assert run(argv + ["--cols", "7"]) == 2
+    assert "does not read --cols" in capsys.readouterr().err
+    assert run(argv) == 0
+
+
 @pytest.mark.parametrize("flag", ["--time", "--events"])
 def test_cox_time_and_events_go_together(tmp_path, capsys, flag):
     write_matrix(tmp_path / "X.dsta", rng(46).random((6, 4)))

@@ -30,6 +30,9 @@ from blockstat.distarray import (
 from blockstat.distlinalg import SCENARIOS, matmul, opnorm
 from blockstat.solvers import (
     DegenerateConfigError,
+    _NMF_EPS,
+    _apg_step,
+    _multiplicative_step,
     cox_fit,
     cox_init,
     mds_fit,
@@ -535,6 +538,56 @@ def test_nmf_and_cox_traces_independent_of_rank_count_and_backend(case):
                               run_socket(2, _solver_traces, *case)):
         for i, t in zip(inproc, socket):
             _assert_bitwise(t, i)
+
+
+@st.composite
+def _update_cases(draw):
+    """An r x k factor, data and model (k >= 0) and an r x r Gram matrix, f32 or
+    f64, with zeros, subnormal, tiny and huge positive entries; the factor and
+    data F-order and the model C-order, as ``_nmf_run`` passes them."""
+    dtype = np.dtype(draw(st.sampled_from(["float32", "float64"])))
+    info = np.finfo(dtype)
+    values = st.one_of(
+        st.sampled_from([0.0, float(info.smallest_subnormal), float(info.tiny), 1e-10,
+                         1.0, float(info.max) / 4, float(info.max)]),
+        st.floats(0.0, float(info.max), width=info.bits))
+    r, k = draw(st.integers(1, 4)), draw(st.integers(0, 5))
+
+    def block(cols, order):
+        n = r * cols
+        return np.array(draw(st.lists(values, min_size=n, max_size=n)),
+                        dtype=dtype).reshape((r, cols), order=order)
+
+    return block(k, "F"), block(k, "F"), block(k, "C"), block(r, "F")
+
+
+@_examples(200)
+@given(_update_cases())
+def test_nmf_update_rules_in_place_match_their_expressions_bitwise(case):
+    f, data, model, gram = case
+    with np.errstate(all="ignore"):  # huge entries overflow alike on both sides
+        step = 1.0 / (2.0 * float(np.sqrt(np.sum(gram ** 2))) + _NMF_EPS)
+        for update, want in (
+                (_multiplicative_step, f * data / (model + _NMF_EPS)),
+                (_apg_step, np.maximum(0.0, f - step * (model - data)))):
+            got, scratch, kept = f.copy(order="F"), model.copy(), data.copy(order="F")
+            update(got, kept, scratch, gram)
+            _assert_bitwise(got, want)
+            _assert_bitwise(kept, data)  # the data is read, only the model is scratch
+
+
+@pytest.mark.parametrize("ranks", [1, 2, 3])
+def test_nmf_vt_block_is_a_view_of_stage(ranks):
+    x = np.random.Generator(np.random.Philox(6)).random((5, 4))
+
+    def views(comm):
+        state = nmf_init(distribute(x if comm.rank == 0 else None, comm), 2, seed=1)
+        m, lo, hi = state.Vt.shape[1], state.Vt.lo, state.Vt.hi
+        nmf_multiplicative(state, 2)
+        return (np.shares_memory(state.Vt.local, state.stage)
+                and np.array_equal(state.Vt.local, state.stage[:, m + lo:m + hi]))
+
+    assert run_inproc(ranks, views) == [True] * ranks
 
 
 # -- a rank that fails at any collective ------------------------------------------

@@ -801,6 +801,30 @@ def test_cox_tied_iteration_allocates_no_m_length_temporaries():
     assert lengths <= 1.2, lengths  # loose: about 0.01 m-lengths now, and no tie gathers
 
 
+@pytest.mark.parametrize("algorithm", [nmf_multiplicative, nmf_apg],
+                         ids=["multiplicative", "apg"])
+def test_nmf_iteration_allocates_no_factor_sized_temporaries(algorithm):
+    m, n, r = 3000, 600, 20
+    x_d = rng(83).random((m, n))
+
+    def fn(comm):
+        state = nmf_init(_dist(comm, x_d), r, seed=1)
+        algorithm(state, 1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            algorithm(state, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return (peak - base) / (r * m * 8)
+
+    (lengths,) = run_inproc(1, fn)
+    # about 0.26 and 0.13 r x m lengths of numpy iterator buffers; a fresh
+    # product or update temporary would add 1 each
+    assert lengths <= 0.5, lengths
+
+
 def test_cox_traces_identical_across_backends():
     gen = rng(81)
     x_d, y_d, delta_d = _make_survival(gen, 13, 5, np.array([0.6, 0.0, -0.4, 0.0, 0.2]))
