@@ -22,7 +22,9 @@ A solver command makes one solver call; the trace's ``elapsed_s`` is rank 0's
 
 Matrix files are binary: magic ``DSTA``, one dtype byte (0=f32, 1=f64,
 2=i64), the number of dimensions as a little-endian u64, one u64 extent per
-dimension, then the payload as column-major little-endian scalars.
+dimension, then the payload as column-major little-endian scalars.  A block
+moves in panels of whole columns of at most 4 MiB; only a block that is not
+F-contiguous is staged, one panel at a time.
 
 Exit codes: 0 success, 1 I/O or data error, 2 usage error, 3 collective
 contract violation.
@@ -61,6 +63,7 @@ from .testing import materialize, scenario_operands
 
 _MAGIC = b"DSTA"
 _PRECISION = {"f32": np.dtype(np.float32), "f64": np.dtype(np.float64)}
+_PANEL_BYTES = 1 << 22  # the most a block moves through its file at once
 
 
 class FormatError(ValueError):
@@ -78,14 +81,22 @@ def _block_io(path, a, write):
 
     The payload is column-major and ``a`` is split along its last dimension,
     so the block is one contiguous range starting ``rows * lo`` scalars in.
+    It moves in panels of whole columns of at most ``_PANEL_BYTES`` (or one
+    column); a panel of a block that is not F-contiguous is a staged copy.
     """
-    view = memoryview(a.local.reshape(-1, order="F")).cast("B")  # a view if F-contiguous
-    offset = len(_header(a.dtype, a.shape)) + math.prod(a.shape[:-1]) * a.lo * a.dtype.itemsize
+    block, width = a.local, a.local.shape[-1]
+    if not (write or block.flags.f_contiguous):  # a read goes straight into the block
+        raise ValueError("a block read in place must be F-contiguous")
+    column = math.prod(a.shape[:-1]) * a.dtype.itemsize
+    step = max(1, _PANEL_BYTES // max(column, 1))
     with open(path, "r+b" if write else "rb") as fh:
-        fh.seek(offset)
-        n = fh.write(view) if write else fh.readinto(view)  # a large view is not copied
-    if n < len(view):
-        raise FormatError(f"payload ends {len(view) - n} bytes early")
+        fh.seek(len(_header(a.dtype, a.shape)) + column * a.lo)
+        for j in range(0, width, step):
+            view = memoryview(np.asfortranarray(block[..., j:j + step]).ravel("F")).cast("B")
+            n = fh.write(view) if write else fh.readinto(view)
+            if n < len(view):
+                raise FormatError(f"payload ends {column * (width - j) - n} bytes early")
+            del view  # release a staged panel before the next is staged
 
 
 def write_matrix(path, array):

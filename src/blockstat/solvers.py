@@ -414,13 +414,17 @@ def cox_init(x, y, delta, lam, sigma=None, ties="none"):
 _EXP_CLAMP = {np.dtype(np.float64): 700.0, np.dtype(np.float32): 85.0}
 
 
-def _risk_weights(state):
-    """w = exp(X beta) (overflow-clamped) and its cumulative sums W.
+def _forward(s):
+    """One allreduce of ``reduced`` (X beta and ||beta||_1), then the risk
+    weights w = exp(X beta) (overflow-clamped) and their cumulative sums W.
 
-    One pass finds the largest entry of X beta: NaN raises, and above the
-    clamp warns and clamps, after which every weight is finite.
+    Returns the risk sums ``W[cuts]``, ``W`` itself without ties.  One pass
+    finds the largest entry of X beta: NaN raises, and above the clamp warns
+    and clamps, after which every weight is finite.
     """
-    s = state
+    np.matmul(s.X.local, s.beta.local, out=s.Xbeta)
+    s.reduced[-1] = np.add.reduce(np.abs(s.beta.local))
+    s.X.comm.allreduce(s.reduced, ReduceOp.SUM)
     clamp = _EXP_CLAMP[np.dtype(s.Xbeta.dtype)]
     top = s.Xbeta.max(initial=-np.inf)
     if np.isnan(top):
@@ -432,10 +436,6 @@ def _risk_weights(state):
     else:
         np.exp(s.Xbeta, out=s.w)
     np.cumsum(s.w, out=s.W)
-
-
-def _risk_sums(s):
-    """``W[cuts]``, the risk sum of each sample's tied block; ``W`` itself without ties."""
     # mode="clip" because the default "raise" stages ``out`` in a temporary
     return np.take(s.W, s.cuts, out=s.ties_buf, mode="clip") if s.tied else s.W
 
@@ -451,10 +451,7 @@ def _cox_loglik(s, Wc):
 
 def cox_partial_loglik(state):
     """Log partial likelihood at the state's coefficients."""
-    s = state
-    matmul(s.Xbeta, s.X, s.beta)
-    _risk_weights(s)
-    return _cox_loglik(s, _risk_sums(s))
+    return _cox_loglik(state, _forward(state))
 
 
 def pi_delta(out, w, W, delta, lo, hi, comm, cuts=None):
@@ -497,11 +494,7 @@ def cox_fit(state, iters, monitor=None, trace_every=1):
     t = s.work
     start = _totals(s.X.comm)
     for it in range(iters):
-        np.matmul(s.X.local, s.beta.local, out=s.Xbeta)
-        s.reduced[-1] = np.add.reduce(np.abs(s.beta.local))
-        s.X.comm.allreduce(s.reduced, ReduceOp.SUM)
-        _risk_weights(s)
-        Wc = _risk_sums(s)
+        Wc = _forward(s)
         if trace_every and it % trace_every == 0:
             obj = -_cox_loglik(s, Wc) + lam * s.reduced[-1].item()
             _record(s, obj, s.X.comm, start)

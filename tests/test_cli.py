@@ -1,5 +1,6 @@
 """CLI and matrix-file behavior, including a real two-process socket run."""
 
+import math
 import os
 import struct
 import subprocess
@@ -9,9 +10,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from blockstat import cli
 from blockstat.cli import _COMMANDS, FormatError, read_matrix, run, write_matrix
 from blockstat.comm import run_inproc
-from blockstat.distarray import distribute, empty, gather_full
+from blockstat.distarray import DistArray, distribute, empty, gather_full, partition_of
 from blockstat.distlinalg import pairwise_euclidean
 from blockstat.solvers import (
     ConvergenceMonitor,
@@ -23,7 +25,7 @@ from blockstat.solvers import (
     nmf_init,
     nmf_multiplicative,
 )
-from conftest import free_port, rng
+from conftest import free_port, rng, run_socket
 
 
 def _read_trace(path):
@@ -206,6 +208,114 @@ def test_matrix_io_makes_two_collectives_each(tmp_path):
 
     for read_calls, write_calls in run_inproc(3, fn):
         assert read_calls == write_calls == ["broadcast", "allreduce"]
+
+
+def _staged_peak(p, fn):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run_inproc(p, fn)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_matrix_stages_at_most_one_panel(tmp_path):
+    data = rng(12).random((2000, 1000))  # 16 MB, C-order
+    path = tmp_path / "x.dsta"
+    payload = np.asfortranarray(data).tobytes(order="F")
+    halves = [np.ascontiguousarray(b) for b in np.array_split(data, 2, axis=1)]  # untraced
+
+    peak = _staged_peak(1, lambda comm: write_matrix(path, data))
+    assert peak <= 1.5 * cli._PANEL_BYTES, peak / cli._PANEL_BYTES
+    assert path.read_bytes()[-len(payload):] == payload
+
+    def write_c_locals(comm):
+        write_matrix(path, DistArray(comm, data.shape, data.dtype, local=halves[comm.rank]))
+
+    path.unlink()
+    peak = _staged_peak(2, write_c_locals)
+    assert peak <= 2 * 1.5 * cli._PANEL_BYTES, peak / cli._PANEL_BYTES
+    assert path.read_bytes()[-len(payload):] == payload
+
+    fortran = np.asfortranarray(data)
+    path.unlink()
+    peak = _staged_peak(1, lambda comm: write_matrix(path, fortran))
+    assert peak < 1 << 20, peak
+    assert path.read_bytes()[-len(payload):] == payload
+
+
+def _panel_cases():
+    """(name, array, dtype code, layout of a rank's block) for the panel tests."""
+    gen = rng(13)
+    cases = []
+    for code, dtype in enumerate((np.float32, np.float64, np.int64)):
+        def draw(*shape):
+            return (gen.standard_normal(shape) * 1e3).astype(dtype)
+
+        cases += [
+            ("c-order", draw(5, 7), code, np.ascontiguousarray),
+            ("f-order", np.asfortranarray(draw(5, 7)), code, np.asfortranarray),
+            ("strided", draw(5, 14)[:, ::2], code, lambda b: b),
+            ("1-d", draw(11), code, np.ascontiguousarray),
+            ("1-d-strided", draw(22)[::2], code, lambda b: b),
+            ("3-d", draw(2, 3, 5), code, np.ascontiguousarray),
+            ("zero-rows", draw(0, 4), code, np.ascontiguousarray),
+            ("zero-columns", draw(3, 0), code, np.ascontiguousarray),
+        ]
+    return cases
+
+
+@pytest.mark.parametrize("panel", [0.5, 1.0, 2.5], ids=["half", "one", "two-and-a-half"])
+@pytest.mark.parametrize("world,p", [("inproc", 1), ("inproc", 2), ("inproc", 3), ("tcp", 2)])
+def test_matrix_panels_at_their_boundaries(tmp_path, monkeypatch, world, p, panel):
+    cases = _panel_cases()
+
+    def fn(comm):
+        for i, (name, x, code, layout) in enumerate(cases):
+            path = tmp_path / f"{i}.dsta"
+            column = math.prod(x.shape[:-1]) * x.itemsize
+            if comm.rank == 0:  # set before any rank passes the barrier
+                monkeypatch.setattr(cli, "_PANEL_BYTES", int(panel * column))
+            comm.barrier()
+            part = partition_of(x.shape[-1], comm.size)
+            local = layout(x[..., part.lo(comm.rank):part.hi(comm.rank)])
+            write_matrix(path, DistArray(comm, x.shape, x.dtype, local=local))
+            back = gather_full(read_matrix(path, comm))
+            want = _dsta(code, *x.shape) + np.asfortranarray(x).tobytes(order="F")
+            assert path.read_bytes() == want, (name, x.dtype)
+            assert back.tobytes(order="F") == np.asfortranarray(x).tobytes(order="F")
+        return comm.rank
+
+    run = run_inproc if world == "inproc" else run_socket
+    assert run(p, fn) == list(range(p))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_matrix_cut_inside_the_second_panel_raises_on_every_rank(
+        tmp_path, monkeypatch, world_runner, p):
+    data = np.arange(48.0).reshape(4, 12)  # 32-byte columns
+    monkeypatch.setattr(cli, "_PANEL_BYTES", 64)  # two columns a panel
+    path = tmp_path / "x.dsta"
+    write_matrix(path, data)
+    cut = os.path.getsize(path) - data.nbytes + 64 + 16
+
+    def fn(comm):
+        if comm.rank == 0:  # cut between rank 0's checks and the block reads
+            broadcast = comm.broadcast
+
+            def truncate_then_broadcast(buf, root=0):
+                os.truncate(path, cut)
+                broadcast(buf, root)
+
+            comm.broadcast = truncate_then_broadcast
+        with pytest.raises(FormatError) as err:
+            read_matrix(path, comm)
+        return str(err.value)
+
+    messages = world_runner(p, fn)
+    if p == 1:  # the block's shortfall, as a single read of it would report
+        assert messages == [f"payload ends {data.nbytes - 80} bytes early"]
 
 
 # -- commands -------------------------------------------------------------------
