@@ -10,15 +10,15 @@ Subcommands
 
 Every command runs on all ranks of the configured backend; ``--precision``
 belongs to ``gen`` and the solvers, ``--trace`` to the solvers alone; ``cox
---time`` and ``--events`` go together; ``bench --op matmul`` reads
-``--scenario``, ``--inner`` and, unless B or C is a vector, ``--cols``;
-``--op scan`` reads ``--axis``.  Every rank opens a matrix file itself and
-reads or writes only its own byte range, so ranks on different hosts need
-the same path on a shared file system; rank 0 alone checks or writes the
-header and writes the trace.  The backend comes from ``--backend`` unless the
-environment variable ``DISTSTAT_BACKEND`` is set, which overrides the flag.
-A solver command makes one solver call; the trace's ``elapsed_s`` is rank 0's
-``iter_stats`` seconds since it began.
+--time`` and ``--events`` go together, and ``cox`` reads ``--seed`` only
+without them; ``bench --op matmul`` reads ``--scenario``, ``--inner`` and,
+unless B or C is a vector, ``--cols``; ``--op scan`` reads ``--axis``.  Every
+rank opens a matrix file itself and reads or writes only its own byte range,
+so ranks on different hosts need the same path on a shared file system;
+rank 0 alone checks or writes the header and writes the trace.  The backend
+comes from ``--backend`` unless the environment variable ``DISTSTAT_BACKEND``
+is set, which overrides the flag.  A solver command makes one solver call;
+the trace's ``elapsed_s`` is rank 0's ``iter_stats`` seconds since it began.
 
 Matrix files are binary: magic ``DSTA``, one dtype byte (0=f32, 1=f64,
 2=i64), the number of dimensions as a little-endian u64, one u64 extent per
@@ -290,6 +290,8 @@ def _check_usage(parser, args):
     defaults of the ``bench`` flags that its ``--op`` reads."""
     if args.command == "cox" and (args.time is None) != (args.events is None):
         parser.error("cox: --time and --events go together")
+    if args.command == "cox" and args.time is not None and args.seed is not None:
+        parser.error("cox with --time and --events does not read --seed")
     if args.command != "bench":
         return
     for op, flags in _BENCH_READS.items():

@@ -67,17 +67,15 @@ class ShapeError(ValueError):
 
 
 def dot(a, b):
-    """Sum of the elementwise product of two identically distributed arrays."""
+    """Float64 sum of the elementwise product of two identically distributed arrays."""
     if not isinstance(a, DistArray) or not isinstance(b, DistArray):
         raise TypeError("dot expects two DistArrays")
     if a.shape != b.shape:
         raise ShapeError(f"dot shapes differ: {a.shape} vs {b.shape}")
     if a.partition != b.partition:
         raise ShapeError("dot operands must share the partition")
-    part = float(np.dot(np.ravel(a.local, order="F"), np.ravel(b.local, order="F")))
-    buf = np.array([part])
-    a.comm.allreduce(buf, ReduceOp.SUM)
-    return buf[0].item()
+    flat_b = np.ravel(b.local, order="F")
+    return reduce_all(a, ReduceOp.SUM, lambda x: float(np.dot(np.ravel(x, order="F"), flat_b)))
 
 
 def _owned_diag(m):
@@ -235,15 +233,12 @@ def matmul(c, a, b, tmp=None):
             x = x[:, bstore.lo:bstore.hi]
         elif bk in ("repl", "rvec"):
             y = y[a.lo:a.hi]
-        comm = b.comm if ak == "repl" else a.comm
-        if cstore is None:
-            out[...] = x @ y
-            comm.allreduce(out, ReduceOp.SUM)
-            return c
+        target = out if cstore is None else buf
         # (x @ y).T, not y.T @ x.T: the two BLAS calls can round differently.
-        buf[...] = (x @ y).T if ck == "tdist" else x @ y
-        comm.allreduce(buf, ReduceOp.SUM)
-        cstore.local[...] = buf[..., cstore.lo:cstore.hi]
+        target[...] = (x @ y).T if ck == "tdist" else x @ y
+        (b.comm if ak == "repl" else a.comm).allreduce(target, ReduceOp.SUM)
+        if cstore is not None:
+            cstore.local[...] = target[..., cstore.lo:cstore.hi]
         return c
     if ck == "tdist":  # form the product in C's stored orientation
         x, y, out = y.T, x.T, out.T

@@ -266,12 +266,12 @@ _MDS_BLOCK = 128  # columns per block of a Guttman pass; 64-256 ran alike, wider
 
 
 def _guttman_pass(theta, y, theta_new=None, perturb=False):
-    """Partial ``[stress, off-diagonal zero distances]`` of this rank's columns
-    of ``y``; with ``theta_new``, also their Guttman transform (de Leeuw 1977).
+    """``[stress, off-diagonal zero distances]`` on every rank; with ``theta_new``,
+    also the Guttman transform of this rank's columns of ``y`` (de Leeuw 1977).
 
     One allgatherv of ``theta``, then blocks of ``_MDS_BLOCK`` columns with two
-    n x block workspaces.  :func:`~blockstat.distlinalg._distances` puts
-    coincident points exactly 0 apart.  Zero distances become 1e-10 with
+    n x block workspaces, then one allreduce.  :func:`~blockstat.distlinalg._distances`
+    puts coincident points exactly 0 apart.  Zero distances become 1e-10 with
     ``perturb``; without it the update stops.
     """
     full = gather_full(theta)
@@ -299,14 +299,13 @@ def _guttman_pass(theta, y, theta_new=None, perturb=False):
         np.subtract(1.0, t, out=t)                 # W - Z, the unit weights less Z
         t[diag] = 0.0
         theta_new[:, a:b] = (full[:, cols] * (zs + n - 1.0) + full @ t) / (2.0 * (n - 1))
+    y.comm.allreduce(part, ReduceOp.SUM)
     return part
 
 
 def mds_stress(theta, y):
     """Weighted squared misfit between target and embedding distances."""
-    part = _guttman_pass(theta, y)
-    y.comm.allreduce(part, ReduceOp.SUM)
-    return part[0].item()
+    return _guttman_pass(theta, y)[0].item()
 
 
 def mds_fit(state, iters):
@@ -321,7 +320,6 @@ def mds_fit(state, iters):
     start = _totals(s.Y.comm)
     for _ in range(iters):
         part = _guttman_pass(s.theta, s.Y, s.theta_new, s.perturb)
-        s.Y.comm.allreduce(part, ReduceOp.SUM)
         _record(s, part[0].item(), s.Y.comm, start)
         if part[1] > 0 and not s.perturb:
             raise DegenerateConfigError("coincident embedding points; rerun with perturb=True")
@@ -341,8 +339,8 @@ class CoxState:
     X: DistArray           # m x n covariates, samples ordered by nonincreasing time
     delta: np.ndarray      # (m,) event indicators in {0, 1}
     beta: DistArray        # length-n distributed coefficients
-    lam: float
-    sigma: float
+    lam: float             # each step's soft threshold; the penalty weight is lam / sigma
+    sigma: float           # step size
     reduced: np.ndarray    # (m + 1,) replicated X beta, then ||beta||_1: one allreduce
     Xbeta: np.ndarray      # (m,) view of reduced[:m]
     w: np.ndarray          # (m,) replicated risk weights exp(X beta)
@@ -479,24 +477,25 @@ def pi_delta(out, w, W, delta, lo, hi, comm, cuts=None):
 def cox_fit(state, iters, monitor=None, trace_every=1):
     """Proximal-gradient iterations for the L1-penalized partial likelihood.
 
-    Each iteration records the penalized objective at the current iterate
-    (so the first trace entry belongs to the initial coefficients), checks
-    the optional convergence monitor, then takes one soft-thresholded step.
-    It makes one collective, an allreduce of ``reduced``: this rank's partial
-    ``X beta`` and, in the last slot, its partial ``||beta||_1``, folded in
-    the rank order :func:`matmul` and ``reduce_all`` use.  Every rank then forms
-    ``pd[i] = w[i] * sum_{j >= starts[i]} delta[j] / W[cuts[j]]`` from its
+    A step is ``beta <- S_lam(beta + sigma grad l(beta))``: ``lam`` is its soft
+    threshold and ``lam / sigma`` the penalty weight.  Each iteration traces
+    ``-l(beta) + (lam / sigma) ||beta||_1`` at the current iterate (the first
+    entry belongs to the initial coefficients), checks the optional monitor,
+    then steps.  Its one collective is an allreduce of ``reduced``: this rank's
+    partial ``X beta`` and, in the last slot, its partial ``||beta||_1``, folded
+    in the rank order :func:`matmul` and ``reduce_all`` use.  Every rank then
+    forms ``pd[i] = w[i] * sum_{j >= starts[i]} delta[j] / W[cuts[j]]`` from its
     replicated copies (bitwise equal to :func:`pi_delta` at p = 1), writing
     every m-length intermediate into the state's preallocated vectors.
     """
     s = state
-    sigma, lam = s.sigma, s.lam
+    sigma, lam, weight = s.sigma, s.lam, s.lam / s.sigma
     t = s.work
     start = _totals(s.X.comm)
     for it in range(iters):
         Wc = _forward(s)
         if trace_every and it % trace_every == 0:
-            obj = -_cox_loglik(s, Wc) + lam * s.reduced[-1].item()
+            obj = -_cox_loglik(s, Wc) + weight * s.reduced[-1].item()
             _record(s, obj, s.X.comm, start)
             if monitor is not None and converged(monitor, obj):
                 break

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from blockstat.comm import RankAbortedError, init, run_inproc  # noqa: F401
+from blockstat.distarray import zeros
 
 
 def free_port():
@@ -58,3 +59,20 @@ def world_runner(request):
 
 def rng(seed):
     return np.random.Generator(np.random.Philox(seed))
+
+
+def three_way_zeros(comm, shape):
+    """Zeros of ``shape`` split as in a world of three ranks: at p = 2, an
+    operand of the right shape whose partition differs from ``comm``'s."""
+    return zeros(shape, init("inproc:3")[comm.rank])
+
+
+def raises_on_every_rank(size, build, exc, match, runner=run_inproc):
+    """Run ``build(comm)`` on ``size`` ranks and check that every rank raises
+    ``exc`` matching ``match``, none waiting on another."""
+    def fn(comm):
+        with pytest.raises(exc, match=match):
+            build(comm)
+        return True
+
+    assert runner(size, fn) == [True] * size

@@ -13,7 +13,7 @@ import pytest
 from blockstat import cli
 from blockstat.cli import _COMMANDS, FormatError, read_matrix, run, write_matrix
 from blockstat.comm import run_inproc
-from blockstat.distarray import DistArray, distribute, empty, gather_full, partition_of
+from blockstat.distarray import DistArray, distribute, empty, gather_full, partition_of, zeros
 from blockstat.distlinalg import pairwise_euclidean
 from blockstat.solvers import (
     ConvergenceMonitor,
@@ -25,7 +25,7 @@ from blockstat.solvers import (
     nmf_init,
     nmf_multiplicative,
 )
-from conftest import free_port, rng, run_socket
+from conftest import free_port, raises_on_every_rank, rng, run_socket
 
 
 def _read_trace(path):
@@ -128,6 +128,29 @@ def test_bad_matrix_file_raises_on_every_rank(tmp_path, world_runner, case, p):
         return comm.rank
 
     assert world_runner(p, fn) == list(range(p))
+
+
+def test_unknown_dtype_code_raises_on_every_rank(tmp_path, world_runner):
+    path = tmp_path / "bad.dsta"
+    path.write_bytes(_dsta(7, 2, 2) + b"\x00" * 32)
+
+    def fn(comm):  # rank 0 reads the header and names the code; the others learn it failed
+        want = "unknown dtype code 7" if comm.rank == 0 else "rank 0 raised FormatError"
+        with pytest.raises(FormatError, match=want):
+            read_matrix(path, comm)
+        return comm.rank
+
+    assert world_runner(2, fn) == [0, 1]
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.complex128, np.bool_])
+def test_write_matrix_refuses_an_unsupported_dtype_on_every_rank(tmp_path, dtype):
+    path = tmp_path / "x.dsta"
+    raises_on_every_rank(2, lambda c: write_matrix(path, zeros((2, 3), c, dtype)),
+                         FormatError, "unsupported dtype")
+    with pytest.raises(FormatError, match="unsupported dtype"):
+        write_matrix(path, np.zeros(3, dtype))  # a plain array, as a one-rank world's
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -628,6 +651,25 @@ def test_cox_time_and_events_go_together(tmp_path, capsys, flag):
     assert "--time and --events go together" in capsys.readouterr().err
 
 
+def test_cox_reads_seed_only_for_synthetic_survival_data(tmp_path, capsys):
+    gen = rng(47)
+    paths = {k: str(tmp_path / f"{k}.dsta") for k in ("X", "time", "events")}
+    write_matrix(paths["X"], gen.standard_normal((12, 3)))
+    write_matrix(paths["time"], np.arange(12, 0, -1.0))
+    write_matrix(paths["events"], (gen.random(12) > 0.3).astype(np.float64))
+    argv = ["cox", "--input", paths["X"], "--lambda", "1e-3", "--iters", "3",
+            "--backend", "inproc:2"]
+    files = ["--time", paths["time"], "--events", paths["events"]]
+    assert run(argv + files + ["--seed", "3"]) == 2
+    assert "does not read --seed" in capsys.readouterr().err
+    assert run(argv + files) == 0
+    summaries = []
+    for seed in ("3", "4"):  # the seed draws the synthetic event indicators
+        assert run(argv + ["--seed", seed]) == 0
+        summaries.append(capsys.readouterr().out)
+    assert summaries[0] != summaries[1]
+
+
 def test_missing_input_exit_1(tmp_path):
     assert run(["nmf", "--input", str(tmp_path / "nope.dsta"), "--rank", "2"]) == 1
 
@@ -681,6 +723,14 @@ def test_env_var_overrides_backend_flag(tmp_path, monkeypatch):
     assert run(["gen", "--rows", "4", "--cols", "4", "--seed", "1",
                 "--out", out, "--backend", "tcp:nowhere"]) == 0
     assert os.path.exists(out)
+
+
+def test_env_var_wins_over_a_good_backend_flag(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("DISTSTAT_BACKEND", "bogus")
+    assert run(["gen", "--rows", "4", "--cols", "4", "--out", str(tmp_path / "g.dsta"),
+                "--backend", "inproc:1"]) == 1
+    assert "'bogus'" in capsys.readouterr().err
+    assert not (tmp_path / "g.dsta").exists()
 
 
 def test_two_process_socket_run_matches_inproc(tmp_path):

@@ -27,7 +27,7 @@ from blockstat.comm import (
     launch,
     run_inproc,
 )
-from conftest import free_port, run_socket
+from conftest import free_port, raises_on_every_rank, run_socket
 
 
 def test_init_singleton_world():
@@ -55,6 +55,22 @@ def test_a_port_outside_0_to_65535_is_an_init_error(rank, port):
     with pytest.raises(CommInitError, match=f"port {port} "):
         init(f"tcp:127.0.0.1:{port},127.0.0.1:{port},rank={rank}", timeout=5.0)
     assert time.monotonic() - start < 1.0  # refused before any socket, not at the timeout
+
+
+@pytest.mark.parametrize("rank", [-1, 2])
+def test_a_tcp_rank_outside_the_hosts_is_an_init_error(rank):
+    with pytest.raises(CommInitError, match=f"rank {rank} out of range for 2 hosts"):
+        init(f"tcp:127.0.0.1:1,127.0.0.1:1,rank={rank}")
+
+
+@pytest.mark.parametrize("build,match", [
+    (lambda c: c.allreduce(np.zeros(2, np.int32)), "unsupported buffer dtype int32"),
+    (lambda c: c.broadcast(np.zeros(2, np.complex128)), "unsupported buffer dtype"),
+    (lambda c: c.allgatherv(np.zeros(1), np.zeros(2), [1]), "counts has 1 entries for 2 ranks"),
+    (lambda c: c.scatterv(np.zeros(2), np.zeros(1), [1, 1, 0]), "counts has 3 entries"),
+], ids=["allreduce-int32", "broadcast-complex", "allgatherv-counts", "scatterv-counts"])
+def test_bad_buffers_and_counts_raise_on_every_rank(world_runner, build, match):
+    raises_on_every_rank(2, build, ValueError, match, runner=world_runner)
 
 
 def test_launch_raises_the_failing_rank_error_and_closes_every_rank(monkeypatch):

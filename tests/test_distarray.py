@@ -8,7 +8,9 @@ import pytest
 from blockstat.comm import ReduceOp, launch, run_inproc
 from blockstat.distarray import (
     BroadcastError,
+    DistArray,
     DistributionError,
+    TransposedView,
     distribute,
     empty,
     fill,
@@ -23,7 +25,7 @@ from blockstat.distarray import (
     zeros,
 )
 from blockstat.solvers import soft_threshold
-from conftest import rng
+from conftest import raises_on_every_rank, rng, three_way_zeros
 
 
 @pytest.mark.parametrize("n,p,sizes", [
@@ -480,3 +482,39 @@ def test_gather_widths_reconcatenate():
     shapes = run_inproc(4, fn)
     assert all(s == (3, 7) for s, _ in shapes)
     np.testing.assert_array_equal(shapes[0][1], [0, 0, 1, 1, 2, 2, 3])
+
+
+@pytest.mark.parametrize("build,exc,match", [
+    (lambda c: DistArray(c, (), np.float64), ValueError, "scalars"),
+    (lambda c: DistArray(c, (3, 4), np.float64, local=np.empty((3, 3))),
+     DistributionError, "local block"),
+    (lambda c: DistArray(c, (3, 4), np.float64, local=np.empty((3, 2), np.float32)),
+     DistributionError, "local block"),
+    (lambda c: reduce_dims(zeros((4,), c), 0), ValueError, "2-D"),
+    (lambda c: reduce_dims(zeros((3, 4), c), 2), ValueError, "invalid axis"),
+    (lambda c: reduce_into(np.empty((1, 1)), zeros((4,), c)), ValueError, "2-D"),
+    (lambda c: reduce_into(np.empty((2, 1)), zeros((3, 4), c)), DistributionError,
+     "not a collapse"),
+    (lambda c: scan(np.zeros((3, 4)), zeros((3, 4), c)), DistributionError, "identical"),
+    (lambda c: scan(zeros((3, 5), c), zeros((3, 4), c)), DistributionError, "identical"),
+    (lambda c: scan(zeros((3, 4), c, np.float32), zeros((3, 4), c)), DistributionError,
+     "identical"),
+    (lambda c: scan(three_way_zeros(c, (3, 4)), zeros((3, 4), c)), DistributionError,
+     "same partition"),
+    (lambda c: scan(zeros((3, 4), c), zeros((3, 4), c), op="max"), ValueError, "scan op"),
+    (lambda c: scan(zeros((3, 4), c), zeros((3, 4), c), axis=2), ValueError, "out of range"),
+    (lambda c: scan(zeros((3, 4), c), zeros((3, 4), c), axis=-3), ValueError, "out of range"),
+    (lambda c: map_broadcast(zeros((3, 4), c), np.negative, three_way_zeros(c, (3, 4))),
+     DistributionError, "share the partition"),
+    (lambda c: map_broadcast(zeros((3, 4), c), np.negative, TransposedView(zeros((4, 3), c))),
+     TypeError, "transposed"),
+    (lambda c: map_broadcast(zeros((3, 4), c), np.negative, np.zeros((2, 3, 4))),
+     BroadcastError, "exceeds"),
+    (lambda c: map_broadcast(zeros((3, 4), c), np.negative, zeros((2, 3, 4), c)),
+     BroadcastError, "exceeds"),
+], ids=["0-d", "local-shape", "local-dtype", "reduce_dims-1d", "reduce_dims-axis",
+        "reduce_into-1d", "reduce_into-dest", "scan-dest-replicated", "scan-dest-shape",
+        "scan-dest-dtype", "scan-partition", "scan-op", "scan-axis", "scan-negative-axis",
+        "map-partition", "map-transposed", "map-replicated-larger", "map-distributed-larger"])
+def test_bad_arguments_raise_on_every_rank(build, exc, match):
+    raises_on_every_rank(2, build, exc, match)

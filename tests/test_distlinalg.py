@@ -19,7 +19,7 @@ from blockstat.distlinalg import (
     pairwise_euclidean,
 )
 from blockstat.testing import materialize, scenario_operands, tmp_shape
-from conftest import rng, run_socket
+from conftest import raises_on_every_rank, rng, run_socket, three_way_zeros
 
 
 def _dist(comm, data):
@@ -462,3 +462,25 @@ def test_materialize_keeps_a_transposed_column_2d():
     for got in run_inproc(3, fn):
         assert got.shape == (4, 1)
         np.testing.assert_array_equal(got, a_dense @ b_dense)
+
+
+@pytest.mark.parametrize("build,exc,match", [
+    (lambda c: opnorm(np.ones((3, 3))), TypeError, "2-D DistArray"),
+    (lambda c: opnorm(zeros((3,), c)), TypeError, "2-D DistArray"),
+    (lambda c: opnorm(zeros((3, 3), c), "fro"), ValueError, "unknown norm"),
+    (lambda c: opnorm(zeros((3, 3), c), tol=0.0), ValueError, "tol > 0"),
+    (lambda c: opnorm(zeros((3, 3), c), maxiter=0), ValueError, "maxiter >= 1"),
+    (lambda c: pairwise_euclidean(zeros((4, 4), c), zeros((4,), c)), ShapeError, "2-D"),
+    (lambda c: pairwise_euclidean(zeros((4, 4), c), zeros((2, 4), c), chunk=0),
+     ValueError, "chunk"),
+    (lambda c: dot(zeros((4,), c), np.zeros(4)), TypeError, "two DistArrays"),
+    (lambda c: dot(zeros((4,), c), three_way_zeros(c, (4,))), ShapeError, "share the partition"),
+    (lambda c: diag_get(np.empty(3), zeros((3, 4), c)), ShapeError, "non-square"),
+    (lambda c: diag_get(zeros((1, 3), c), zeros((4, 4), c)), ShapeError, "1 x 4"),
+    (lambda c: diag_get(three_way_zeros(c, (1, 4)), zeros((4, 4), c)), ShapeError, "1 x 4"),
+    (lambda c: diag_get(np.empty(3), zeros((4, 4), c)), ShapeError, "length 4"),
+], ids=["opnorm-dense", "opnorm-1d", "opnorm-norm", "opnorm-tol", "opnorm-maxiter",
+        "pairwise-1d", "pairwise-chunk", "dot-dense", "dot-partition", "diag-non-square",
+        "diag-dist-shape", "diag-dist-partition", "diag-repl-length"])
+def test_bad_arguments_raise_on_every_rank(build, exc, match):
+    raises_on_every_rank(2, build, exc, match)

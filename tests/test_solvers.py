@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from blockstat.comm import run_inproc
-from blockstat.distarray import distribute, empty, gather_full, partition_of, zeros
+from blockstat.comm import ReduceOp, run_inproc
+from blockstat.distarray import distribute, empty, gather_full, partition_of, reduce_all, zeros
 from blockstat.distlinalg import dot, pairwise_euclidean
 from blockstat.solvers import (
     ConvergenceMonitor,
@@ -26,7 +26,7 @@ from blockstat.solvers import (
     pi_delta,
     soft_threshold,
 )
-from conftest import rng, run_socket
+from conftest import raises_on_every_rank, rng, run_socket
 
 
 def _dist(comm, data):
@@ -646,6 +646,29 @@ def test_cox_fit_breslow_end_to_end():
         np.testing.assert_allclose(beta, beta_d + 0.05 * grad_want, rtol=1e-10)
 
 
+_TIMES = np.array([4.0, 3.0, 2.0, 1.0])
+_EVENTS = np.array([1.0, 0.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("build,match", [
+    (lambda c: cox_init(zeros((4,), c), _TIMES, _EVENTS, lam=0.1), "2-D"),
+    (lambda c: cox_init(zeros((4, 2), c), _TIMES[:3], _EVENTS, lam=0.1), "one entry"),
+    (lambda c: cox_init(zeros((4, 2), c), _TIMES, _EVENTS[:3], lam=0.1), "one entry"),
+    (lambda c: cox_init(zeros((4, 2), c), _TIMES[::-1], _EVENTS, lam=0.1), "nonincreasing"),
+    (lambda c: cox_init(zeros((4, 2), c), _TIMES, 2 * _EVENTS, lam=0.1), "0 or 1"),
+    (lambda c: cox_init(zeros((4, 2), c), _TIMES, _EVENTS, lam=0.1, ties="efron"),
+     "unknown tie mode"),
+    (lambda c: mds_init(zeros((3, 4), c), 2), "square"),
+    (lambda c: mds_init(zeros((1, 1), c), 2), "two points"),
+    (lambda c: mds_init(zeros((3, 3), c), 0), "one embedding dimension"),
+    (lambda c: mds_init(_dist(c, np.ones((3, 3))), 2), "zero diagonal"),
+], ids=["cox-1d", "cox-times-length", "cox-events-length", "cox-increasing-times",
+        "cox-events-not-binary", "cox-ties", "mds-not-square", "mds-one-point", "mds-q-0",
+        "mds-diagonal"])
+def test_solver_init_rejects_bad_input_on_every_rank(build, match):
+    raises_on_every_rank(2, build, ValueError, match)
+
+
 def test_cox_ties_rejected_without_breslow():
     def fn(comm):
         x = zeros((3, 2), comm)
@@ -840,6 +863,54 @@ def test_cox_traces_identical_across_backends():
         assert len(trace_i) == 30
         np.testing.assert_array_equal(trace_s, trace_i)
         np.testing.assert_array_equal(beta_s, beta_i)
+
+
+def _lasso_state(comm):
+    """demos/05_cox_lasso.py's data and its lambda_max = sigma ||grad l(0)||_inf."""
+    beta_true = np.zeros(40)
+    beta_true[:4] = [0.9, -0.8, 0.7, -0.6]
+    x_d, y_d, delta_d = _make_survival(rng(13), 120, 40, beta_true)
+    state = cox_init(_dist(comm, x_d), y_d, delta_d, lam=1e300)
+    cox_fit(state, 1, trace_every=0)  # the gradient at beta = 0; beta stays 0
+    return state, state.sigma * reduce_all(state.grad, ReduceOp.MAX, transform=np.abs)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_cox_warm_started_trace_is_nonincreasing(p):
+    # the trace is the objective the soft-thresholded step minimizes, so it
+    # falls from any start, not only from beta = 0
+    def fn(comm):
+        state, lam_max = _lasso_state(comm)
+        state.lam = 0.0
+        cox_fit(state, 500, trace_every=0)
+        state.lam = 0.02 * lam_max
+        cox_fit(state, 50)
+        return np.asarray(state.trace)
+
+    trace = run_inproc(p, fn)[0]
+    assert len(trace) == 50
+    assert np.all(np.diff(trace) <= 1e-12 * np.abs(trace[:-1]))
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_cox_traced_penalty_weight_is_the_gradient_on_the_support(p):
+    # at a fixed point of beta <- S_lam(beta + sigma grad), |grad_j| = lam / sigma
+    # wherever beta_j != 0: the weight that the trace puts on ||beta||_1
+    def fn(comm):
+        state, lam_max = _lasso_state(comm)
+        state.lam = 0.1 * lam_max
+        cox_fit(state, 2000, trace_every=0)
+        loglik = cox_partial_loglik(state)
+        l1 = reduce_all(state.beta, transform=np.abs)
+        beta = gather_full(state.beta)
+        cox_fit(state, 1)  # traces the objective at beta, and forms the gradient there
+        weight = (state.trace[-1] + loglik) / l1
+        return weight, np.abs(gather_full(state.grad))[beta != 0], state.lam / state.sigma
+
+    weight, grad, lam_over_sigma = run_inproc(p, fn)[0]
+    assert 0 < len(grad) < 40
+    np.testing.assert_allclose(grad, weight, rtol=1e-6)
+    assert weight == pytest.approx(lam_over_sigma, rel=1e-12)
 
 
 def test_cox_monitor_stops_early():
