@@ -74,7 +74,8 @@ def dot(a, b):
         raise ShapeError(f"dot shapes differ: {a.shape} vs {b.shape}")
     if a.partition != b.partition:
         raise ShapeError("dot operands must share the partition")
-    flat_b = np.ravel(b.local, order="F")
+    # An integer b is cast to float64, so np.dot forms integer products in float64.
+    flat_b = np.ravel(b.local, order="F").astype(np.result_type(b.dtype, np.float32), copy=False)
     return reduce_all(a, ReduceOp.SUM, lambda x: float(np.dot(np.ravel(x, order="F"), flat_b)))
 
 
@@ -250,68 +251,70 @@ def opnorm(a, which="l2_power", tol=1e-6, maxiter=1000):
     """Matrix operator norm of a 2-D distributed matrix.
 
     ``l1`` and ``linf`` are exact (max column / row sum of absolute
-    values).  ``l2_quick`` is the upper bound ``sqrt(l1 * linf)``.
+    values).  ``l2_quick`` is the upper bound ``sqrt(l1 * linf)``.  An
+    integer matrix is summed and multiplied in float64.
 
     ``l2_power`` estimates the largest singular value with the
     Lanczos-accelerated power method: Lanczos on ``A^T A`` from a fixed
-    start vector, one ``A`` and one ``A^T`` product per step, stopping when
-    the estimate's relative change drops below ``tol``, after ``maxiter``
-    steps, or once the Krylov space is exhausted.  The estimate is the
-    square root of the largest eigenvalue of the Lanczos tridiagonal, the
-    largest Rayleigh quotient over the Krylov space that holds every power
-    iterate, so it is never below the power method's after as many steps
-    and converges at about the square root of its rate (Kuczynski and
-    Wozniakowski, SIAM J. Matrix Anal. Appl. 13, 1992).  Loss of
-    orthogonality does not spoil the largest Ritz value (Paige, 1980), so
-    there is no reorthogonalization.  Step k solves the k x k tridiagonal
-    densely, which is small beside the two products for the few dozen steps
-    Lanczos usually takes.  Every rank computes the same value.
+    start vector, stopping when the estimate's relative change drops below
+    ``tol``, after ``maxiter`` steps, or once the Krylov space is exhausted.
+    The Lanczos vectors stay split like A's columns.  A step makes one
+    allreduce of m + 1 values, ``A v`` and the squared norm of the last
+    step's unscaled vector, so each beta, and so a breakdown, is seen one
+    allreduce late.  The estimate is the square root of the largest
+    eigenvalue of the Lanczos tridiagonal, the largest Rayleigh quotient
+    over the Krylov space that holds every power iterate, so it is never
+    below the power method's after as many steps and converges at about the
+    square root of its rate (Kuczynski and Wozniakowski, SIAM J. Matrix
+    Anal. Appl. 13, 1992).  Loss of orthogonality does not spoil the largest
+    Ritz value (Paige, 1980), so there is no reorthogonalization.  Step k
+    solves the k x k tridiagonal densely, small beside the two products for
+    the few dozen steps Lanczos usually takes.  Every rank gets the same value.
     """
     if not isinstance(a, DistArray) or a.ndim != 2:
         raise TypeError("opnorm expects a 2-D DistArray")
     m, n = a.shape
     if m == 0 or n == 0:
         raise ShapeError("opnorm of an empty matrix")
+    dt = np.result_type(a.dtype, np.float32)  # integer blocks are summed and multiplied in float64
     if which == "l1":
-        return float(reduce_all(a, ReduceOp.MAX, lambda x: np.abs(x).sum(axis=0)))
+        return float(reduce_all(a, ReduceOp.MAX, lambda x: np.abs(x, dtype=dt).sum(axis=0)))
     if which == "linf":
-        rows = np.abs(a.local).sum(axis=1) if a.local.size else np.zeros(m)
-        rows = np.ascontiguousarray(rows, dtype=np.float64)
+        rows = np.abs(a.local, dtype=dt).sum(axis=1).astype(np.float64)
         a.comm.allreduce(rows, ReduceOp.SUM)
         return float(rows.max())
     if which == "l2_quick":
         return float(np.sqrt(opnorm(a, "l1") * opnorm(a, "linf")))
     if which != "l2_power":
         raise ValueError(f"unknown norm {which!r}")
-    if tol <= 0 or maxiter < 1:
+    if not tol > 0 or maxiter < 1:  # a NaN tol fails too
         raise ValueError("l2_power needs tol > 0 and maxiter >= 1")
     # A fixed seed fixes the start vector, so every run and rank count agree.
-    v = np.random.Generator(np.random.Philox(95376)).random(n)
-    v /= np.linalg.norm(v)
-    v_prev = np.zeros(n)
-    u = np.empty(m, dtype=a.dtype)
-    w = np.empty(n, dtype=a.dtype)
-    alphas, betas = [], []  # the Lanczos tridiagonal's diagonal and off-diagonal
-    beta = 0.0
+    v = np.random.Generator(np.random.Philox(95376)).random(a.hi)[a.lo:].astype(dt)
+    v_prev = np.zeros_like(v)
+    reduced = np.empty(m + 1, dtype=dt)  # A v, then |v|^2 of the unscaled v: one allreduce
+    u = reduced[:m]
+    alphas, betas = [], []  # the tridiagonal's diagonal; the start's norm, then its off-diagonal
     estimate = np.inf
-    for _ in range(min(maxiter, n)):  # after n steps the Krylov space is all of R^n
-        matmul(u, a, v)                      # u = A v
-        matmul(w, TransposedView(a), u)      # w = A^T A v
-        w -= beta * v_prev
-        alphas.append(float(v @ w))
-        if not np.isfinite(alphas[-1]):  # u and w are replicated, so every rank raises
-            raise ValueError("opnorm: the matrix holds nonfinite entries")
-        w -= alphas[-1] * v
-        beta = float(np.linalg.norm(w))
-        tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-        previous = estimate
-        estimate = float(np.sqrt(max(np.linalg.eigvalsh(tri)[-1], 0.0)))
+    for k in range(min(maxiter, n)):  # after n steps the Krylov space is all of R^n
+        np.matmul(a.local, v, out=u)
+        reduced[m] = v @ v
+        a.comm.allreduce(reduced, ReduceOp.SUM)
+        beta = float(np.sqrt(reduced[m]))
         # beta ~ 0: the Krylov space is invariant and its top Ritz value exact
-        if (beta <= np.finfo(float).eps * estimate * estimate
-                or abs(estimate - previous) <= tol * estimate):
+        if k and beta <= np.finfo(float).eps * estimate * estimate:
             break
         betas.append(beta)
-        v_prev, v = v, w / beta
+        u /= beta
+        v /= beta
+        alphas.append(float(u @ u))  # v^T A^T A v, replicated, so every rank raises
+        if not np.isfinite(alphas[-1]):
+            raise ValueError("opnorm: the matrix holds nonfinite entries")
+        tri = np.diag(alphas) + np.diag(betas[1:], 1) + np.diag(betas[1:], -1)
+        previous, estimate = estimate, float(np.sqrt(max(np.linalg.eigvalsh(tri)[-1], 0.0)))
+        if abs(estimate - previous) <= tol * estimate:
+            break
+        v_prev, v = v, a.local.T @ u - alphas[-1] * v - beta * v_prev
     return estimate
 
 

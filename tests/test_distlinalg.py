@@ -63,6 +63,15 @@ def test_dot_shape_mismatch():
         run_inproc(2, fn)
 
 
+@pytest.mark.parametrize("p", [1, 2])
+def test_dot_forms_int64_products_in_float64(p):
+    # 2**62 * 2 overflows int64; the true sum 2**64 is exact in float64.
+    def fn(comm):
+        return dot(_dist(comm, np.array([2**62, 2**62])), _dist(comm, np.array([2, 2])))
+
+    assert run_inproc(p, fn) == [2.0**64] * p
+
+
 # -- diagonal ----------------------------------------------------------------
 
 
@@ -388,6 +397,61 @@ def _l2_power_rejects(comm, data):
 def test_opnorm_l2_power_nonfinite_raises_on_every_rank(value, backend, p):
     runner = run_inproc if backend == "inproc" else run_socket
     assert runner(p, _l2_power_rejects, np.full((6, 3), value)) == [True] * p
+
+
+_INT64_MATRICES = [
+    np.full((2, 2), 2**62, dtype=np.int64),  # every norm is 2**63, one past int64's range
+    np.array([[-2**63, 3, 2**62], [-5, 2**62, -(2**61)], [7, -1, 0]], dtype=np.int64),
+]
+
+
+@pytest.mark.parametrize("which", ["l1", "linf", "l2_quick", "l2_power"])
+@pytest.mark.parametrize("backend,p", [("inproc", 1), ("inproc", 2), ("socket", 2)])
+def test_opnorm_of_int64_matches_the_float64_reference(which, backend, p):
+    runner = run_inproc if backend == "inproc" else run_socket
+    for data in _INT64_MATRICES:
+        ref = data.astype(np.float64)
+        l1, linf = np.linalg.norm(ref, 1), np.linalg.norm(ref, np.inf)
+        want = {"l1": l1, "linf": linf, "l2_quick": np.sqrt(l1 * linf),
+                "l2_power": np.linalg.norm(ref, 2)}[which]
+        got = runner(p, lambda comm: opnorm(_dist(comm, data), which, tol=1e-10))
+        assert len(set(got)) == 1
+        assert abs(got[0] - want) <= 1e-8 * want
+
+
+def test_opnorm_rejects_a_nan_tol_on_every_rank():
+    raises_on_every_rank(2, lambda c: opnorm(zeros((3, 3), c), tol=np.nan), ValueError, "tol > 0")
+
+
+def _l2_power_traffic(comm, data, tol):
+    a = _dist(comm, data)
+    before = comm.stats()
+    value = opnorm(a, "l2_power", tol=tol, maxiter=5)
+    after = comm.stats()
+    calls = {op: after[op]["calls"] - before[op]["calls"] for op in after}
+    return value, calls, after["allreduce"]["bytes"] - before["allreduce"]["bytes"]
+
+
+@pytest.mark.parametrize("backend,p,cols", [
+    ("inproc", 1, 16), ("inproc", 2, 16), ("inproc", 3, 16), ("socket", 2, 16), ("inproc", 6, 4),
+])
+def test_opnorm_l2_power_makes_one_allreduce_of_m_plus_1_values_per_step(backend, p, cols):
+    # At tol 1e-300 a Gaussian matrix runs all min(maxiter, n) steps.  A zero
+    # matrix's Krylov space is exhausted after 1 step, and a rank-1 matrix's
+    # after 2; each breakdown is seen in one more allreduce.  The rank-1
+    # residual beta lies near the eps * estimate^2 threshold, so at the default
+    # tol that allreduce either sees the breakdown or its step converges.
+    runner = run_inproc if backend == "inproc" else run_socket
+    gen = rng(63)
+    cases = [(gen.standard_normal((50, cols)), 1e-300, min(5, cols)),
+             (np.zeros((50, cols)), 1e-300, 2),
+             (np.outer(gen.standard_normal(50), gen.standard_normal(cols)), 1e-6, 3)]
+    for data, tol, allreduces in cases:
+        got = runner(p, _l2_power_traffic, data, tol)
+        assert len({value for value, _, _ in got}) == 1
+        for _, calls, nbytes in got:
+            assert calls == {op: allreduces if op == "allreduce" else 0 for op in calls}
+            assert nbytes == allreduces * (50 + 1) * 8
 
 
 # -- pairwise distances ---------------------------------------------------------
