@@ -288,6 +288,8 @@ _VECTOR_ROWS = {row for row, kinds in SCENARIOS.items() if {"dvec", "rvec"} & se
 def _check_usage(parser, args):
     """Exit 2 where the run would not read a flag it was given, else fill in the
     defaults of the ``bench`` flags that its ``--op`` reads."""
+    if getattr(args, "iters", 0) < 0:
+        parser.error(f"{args.command}: --iters must be at least 0, got {args.iters}")
     if args.command == "cox" and (args.time is None) != (args.events is None):
         parser.error("cox: --time and --events go together")
     if args.command == "cox" and args.time is not None and args.seed is not None:

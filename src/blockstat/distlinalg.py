@@ -301,8 +301,10 @@ def opnorm(a, which="l2_power", tol=1e-6, maxiter=1000):
         reduced[m] = v @ v
         a.comm.allreduce(reduced, ReduceOp.SUM)
         beta = float(np.sqrt(reduced[m]))
-        # beta ~ 0: the Krylov space is invariant and its top Ritz value exact
-        if k and beta <= np.finfo(float).eps * estimate * estimate:
+        # beta ~ 0: the Krylov space is invariant and its top Ritz value exact.
+        # Rounding leaves beta up to 3.3 eps estimate^2 (eps of dt) for rank-1
+        # A and 31 for rank 2, on any rank count: 64 sees both breakdowns.
+        if k and beta <= 64 * np.finfo(dt).eps * estimate * estimate:
             break
         betas.append(beta)
         u /= beta

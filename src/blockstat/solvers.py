@@ -362,6 +362,8 @@ def cox_init(x, y, delta, lam, sigma=None, ties="none"):
     ``lam`` must be finite and >= 0, and ``sigma`` finite and > 0."""
     if x.ndim != 2:
         raise ValueError("Cox expects a 2-D covariate matrix")
+    if x.dtype not in _EXP_CLAMP:
+        raise ValueError(f"Cox expects a float32 or float64 covariate matrix, got {x.dtype}")
     m, n = x.shape
     y = np.asarray(y, dtype=np.float64)
     delta = np.asarray(delta, dtype=x.dtype)
@@ -484,9 +486,9 @@ def cox_fit(state, iters, monitor=None, trace_every=1):
     then steps.  Its one collective is an allreduce of ``reduced``: this rank's
     partial ``X beta`` and, in the last slot, its partial ``||beta||_1``, folded
     in the rank order :func:`matmul` and ``reduce_all`` use.  Every rank then
-    forms ``pd[i] = w[i] * sum_{j >= starts[i]} delta[j] / W[cuts[j]]`` from its
-    replicated copies (bitwise equal to :func:`pi_delta` at p = 1), writing
-    every m-length intermediate into the state's preallocated vectors.
+    forms ``t = delta - pd``, ``pd[i] = w[i] sum_{j >= starts[i]} delta[j] / W[cuts[j]]``
+    (bitwise :func:`pi_delta` at p = 1), in replicated m-vectors.  The gradient
+    is one local product X_r^T t written into ``grad.local``; the step writes ``beta.local``.
     """
     s = state
     sigma, lam, weight = s.sigma, s.lam, s.lam / s.sigma
@@ -506,7 +508,6 @@ def cox_fit(state, iters, monitor=None, trace_every=1):
         block = np.take(t, s.starts, out=s.ties_buf, mode="clip") if s.tied else t
         np.multiply(block, s.w, out=s.pd)
         np.subtract(s.delta, s.pd, out=t)
-        matmul(s.grad, transpose(s.X), t)
-        map_broadcast(s.beta, lambda b, g: soft_threshold(b + sigma * g, lam),
-                      s.beta, s.grad)
+        np.matmul(s.X.local.T, t, out=s.grad.local)
+        s.beta.local[...] = soft_threshold(s.beta.local + sigma * s.grad.local, lam)
     return s

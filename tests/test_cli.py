@@ -651,6 +651,14 @@ def test_cox_time_and_events_go_together(tmp_path, capsys, flag):
     assert "--time and --events go together" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["nmf", "--rank", "2"], ["mds", "--embed-dim", "2"],
+                                   ["cox", "--lambda", "1e-3"]], ids=["nmf", "mds", "cox"])
+def test_negative_iters_is_a_usage_error(tmp_path, capsys, flags):
+    argv = [*flags, "--input", str(tmp_path / "absent.dsta"), "--iters", "-5"]
+    assert run(argv) == 2  # refused before any file is read
+    assert "--iters must be at least 0, got -5" in capsys.readouterr().err
+
+
 def test_cox_reads_seed_only_for_synthetic_survival_data(tmp_path, capsys):
     gen = rng(47)
     paths = {k: str(tmp_path / f"{k}.dsta") for k in ("X", "time", "events")}

@@ -454,6 +454,31 @@ def test_opnorm_l2_power_makes_one_allreduce_of_m_plus_1_values_per_step(backend
             assert nbytes == allreduces * (50 + 1) * 8
 
 
+def _l2_power_allreduces(comm, data):
+    a = _dist(comm, data)
+    before = comm.stats()["allreduce"]["calls"]
+    value = opnorm(a, "l2_power", tol=1e-300)
+    return value, comm.stats()["allreduce"]["calls"] - before
+
+
+@pytest.mark.parametrize("m,n,dtype,seed", [
+    (50, 16, np.float32, 1), (40, 12, np.float32, 1), (50, 4, np.float64, 3),
+    (50, 4, np.float64, 8), (30, 8, np.float64, 8),
+])
+def test_opnorm_l2_power_sees_a_rank_1_breakdown_on_every_rank_count(m, n, dtype, seed):
+    # A rank-1 matrix's Krylov space is exhausted after 2 steps, and the 3rd
+    # allreduce sees the breakdown whatever the rank count's rounding.
+    gen = np.random.default_rng(seed)
+    data = np.outer(gen.standard_normal(m), gen.standard_normal(n)).astype(dtype)
+    want = np.linalg.norm(data.astype(np.float64), 2)
+    rtol = 1e-5 if dtype == np.float32 else 1e-12
+    runs = [run_inproc(p, _l2_power_allreduces, data) for p in (1, 2, 3, 6)]
+    for got in runs + [run_socket(2, _l2_power_allreduces, data)]:
+        for value, allreduces in got:
+            assert allreduces == 3
+            assert abs(value - want) <= rtol * want
+
+
 # -- pairwise distances ---------------------------------------------------------
 
 

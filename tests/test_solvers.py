@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from blockstat import solvers
 from blockstat.comm import ReduceOp, run_inproc
 from blockstat.distarray import distribute, empty, gather_full, partition_of, reduce_all, zeros
 from blockstat.distlinalg import dot, pairwise_euclidean
@@ -697,6 +698,21 @@ def test_cox_init_rejects_bad_lambda_or_sigma_on_every_rank_before_any_collectiv
     assert run_inproc(3, fn) == [True] * 3
 
 
+def test_cox_init_rejects_an_integer_x_on_every_rank_before_any_collective(world_runner):
+    moved = []
+
+    def build(comm):
+        x = _dist(comm, np.arange(8, dtype=np.int64).reshape(4, 2))
+        before = comm.stats()
+        try:
+            cox_init(x, _TIMES, _EVENTS, lam=0.1)
+        finally:
+            moved.append(comm.stats() != before)
+
+    raises_on_every_rank(2, build, ValueError, "float32 or float64", runner=world_runner)
+    assert moved == [False, False]
+
+
 def test_cox_default_step_on_all_zero_x_raises_on_every_rank():
     def fn(comm):
         with pytest.raises(ValueError, match="--sigma"):
@@ -863,6 +879,30 @@ def test_cox_traces_identical_across_backends():
         assert len(trace_i) == 30
         np.testing.assert_array_equal(trace_s, trace_i)
         np.testing.assert_array_equal(beta_s, beta_i)
+
+
+def _cox_five_steps(comm, x_d, y_d, delta_d):
+    state = cox_init(_dist(comm, x_d), y_d, delta_d, lam=1e-2)
+    cox_fit(state, 5)
+    return np.asarray(state.trace), gather_full(state.beta)
+
+
+def test_cox_iterations_call_neither_matmul_nor_map_broadcast(world_runner, monkeypatch):
+    # the gradient and the step work on the local blocks, so the dispatching
+    # primitives can refuse every call and the iterates stay bitwise the same
+    x_d, y_d, delta_d = _make_survival(rng(84), 13, 5, np.array([0.6, 0.0, -0.4, 0.0, 0.2]))
+    want = world_runner(2, _cox_five_steps, x_d, y_d, delta_d)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Cox iteration called a dispatching primitive")
+
+    monkeypatch.setattr(solvers, "matmul", refuse)
+    monkeypatch.setattr(solvers, "map_broadcast", refuse)
+    got = world_runner(2, _cox_five_steps, x_d, y_d, delta_d)
+    for (trace, beta), (trace_want, beta_want) in zip(got, want):
+        assert len(trace) == 5 and np.any(beta != 0)
+        np.testing.assert_array_equal(trace, trace_want)
+        np.testing.assert_array_equal(beta, beta_want)
 
 
 def _lasso_state(comm):
