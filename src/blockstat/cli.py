@@ -289,20 +289,20 @@ def _check_usage(parser, args):
     """Exit 2 where the run would not read a flag it was given, else fill in the
     defaults of the ``bench`` flags that its ``--op`` reads."""
     if getattr(args, "iters", 0) < 0:
-        parser.error(f"{args.command}: --iters must be at least 0, got {args.iters}")
+        parser.error(f"--iters must be at least 0, got {args.iters}")
     if args.command == "cox" and (args.time is None) != (args.events is None):
-        parser.error("cox: --time and --events go together")
+        parser.error("--time and --events go together")
     if args.command == "cox" and args.time is not None and args.seed is not None:
-        parser.error("cox with --time and --events does not read --seed")
+        parser.error("a fit to --time and --events does not read --seed")
     if args.command != "bench":
         return
     for op, flags in _BENCH_READS.items():
         for flag, default in flags.items():
             if op != args.op and flag in vars(args):
-                parser.error(f"bench --op {args.op} does not read --{flag}")
+                parser.error(f"--op {args.op} does not read --{flag}")
             vars(args).setdefault(flag, default)
     if args.scenario in _VECTOR_ROWS and "cols" in vars(args):
-        parser.error(f"bench --scenario {args.scenario} does not read --cols")
+        parser.error(f"--scenario {args.scenario} does not read --cols")
     vars(args).setdefault("cols", 4)
 
 
@@ -360,6 +360,7 @@ def _build_parser():
     bench.add_argument("--cols", type=int, default=argparse.SUPPRESS)
     bench.add_argument("--axis", type=int, default=argparse.SUPPRESS)
     _add_common(bench, precision=False, trace=False)
+    parser.set_defaults(commands=subs.choices)  # each command's parser, for its usage errors
     return parser
 
 
@@ -368,7 +369,7 @@ def run(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _check_usage(parser, args)
+        _check_usage(args.commands[args.command], args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     backend = os.environ.get("DISTSTAT_BACKEND") or args.backend

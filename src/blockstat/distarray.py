@@ -395,20 +395,13 @@ def reduce_into(dest, a):
         raise DistributionError(f"dest shape {shape} is not a collapse of {a.shape}")
 
 
-def _fold(parts, ufunc):
-    """Fold ``parts`` in ascending rank order; no reassociation."""
-    acc = np.array(parts[0], copy=True)
-    for part in parts[1:]:
-        ufunc(acc, part, out=acc)
-    return acc
-
-
 def scan(dest, a, axis=0, op="sum"):
     """Running cumulative sum/product along one dimension into ``dest``.
 
-    Along the split dimension each rank accumulates locally and then adds
-    the exclusive prefix of the preceding ranks' totals, so global order is
-    respected.
+    Along the split dimension each rank r accumulates locally, then applies
+    slot r of one allreduce of rows x p slots, into which it writes its
+    totals at slots r + 1 .. p - 1 and an exact identity (-0.0 for a sum, 1
+    for a product) elsewhere: slot r is the exclusive prefix, in rank order.
     """
     if not isinstance(dest, DistArray) or dest.shape != a.shape or dest.dtype != a.dtype:
         raise DistributionError("scan needs a destination of identical shape and dtype")
@@ -423,12 +416,8 @@ def scan(dest, a, axis=0, op="sum"):
     ufunc.accumulate(a.local, axis=axis, out=dest.local)
     if axis != a.ndim - 1:
         return
-    rows = math.prod(a.shape[:-1])
-    totals = np.ravel(ufunc.reduce(a.local, axis=-1), order="F").astype(a.dtype, copy=False)
-    gathered = np.empty(rows * a.comm.size, dtype=a.dtype)
-    a.comm.allgatherv(totals, gathered, [rows] * a.comm.size)
-    blocks = gathered.reshape((rows, a.comm.size), order="F")
-    if a.comm.rank == 0:
-        return
-    offset = _fold([blocks[:, r] for r in range(a.comm.rank)], ufunc)
-    ufunc(dest.local, offset.reshape(a.shape[:-1] + (1,), order="F"), out=dest.local)
+    r, identity = a.comm.rank, -0.0 if op == "sum" else 1
+    slots = np.full(a.shape[:-1] + (a.comm.size,), identity, dtype=a.dtype, order="F")
+    slots[..., r + 1:] = ufunc.reduce(a.local, axis=-1, keepdims=True)
+    a.comm.allreduce(slots, ReduceOp[op.upper()])
+    ufunc(dest.local, slots[..., r:r + 1], out=dest.local)

@@ -256,12 +256,12 @@ def opnorm(a, which="l2_power", tol=1e-6, maxiter=1000):
 
     ``l2_power`` estimates the largest singular value with the
     Lanczos-accelerated power method: Lanczos on ``A^T A`` from a fixed
-    start vector, stopping when the estimate's relative change drops below
-    ``tol``, after ``maxiter`` steps, or once the Krylov space is exhausted.
-    The Lanczos vectors stay split like A's columns.  A step makes one
-    allreduce of m + 1 values, ``A v`` and the squared norm of the last
-    step's unscaled vector, so each beta, and so a breakdown, is seen one
-    allreduce late.  The estimate is the square root of the largest
+    start vector, stopping when the estimate's relative change drops below the
+    larger of ``tol`` and 8 eps, after ``maxiter`` steps, or once the Krylov
+    space is exhausted.  The Lanczos vectors stay split like A's columns.  A
+    step makes one allreduce of m + 1 values, ``A v`` and the squared norm of
+    the last step's unscaled vector, so each beta, and so a breakdown, is seen
+    one allreduce late.  The estimate is the square root of the largest
     eigenvalue of the Lanczos tridiagonal, the largest Rayleigh quotient
     over the Krylov space that holds every power iterate, so it is never
     below the power method's after as many steps and converges at about the
@@ -289,6 +289,7 @@ def opnorm(a, which="l2_power", tol=1e-6, maxiter=1000):
         raise ValueError(f"unknown norm {which!r}")
     if not tol > 0 or maxiter < 1:  # a NaN tol fails too
         raise ValueError("l2_power needs tol > 0 and maxiter >= 1")
+    tol = max(tol, 8 * np.finfo(dt).eps)  # below rounding, steps would differ by rank count
     # A fixed seed fixes the start vector, so every run and rank count agree.
     v = np.random.Generator(np.random.Philox(95376)).random(a.hi)[a.lo:].astype(dt)
     v_prev = np.zeros_like(v)

@@ -659,6 +659,17 @@ def test_negative_iters_is_a_usage_error(tmp_path, capsys, flags):
     assert "--iters must be at least 0, got -5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["cox", "--input", "absent.dsta", "--lambda", "1e-3", "--iters", "-5"],
+    ["bench", "--op", "scan", "--scenario", "b"],
+], ids=["cox-iters", "bench-scenario"])
+def test_a_usage_error_prints_its_commands_usage(capsys, argv):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert f"usage: blockstat {argv[0]} " in err
+    assert f"blockstat {argv[0]}: error: --" in err  # the message does not repeat the command
+
+
 def test_cox_reads_seed_only_for_synthetic_survival_data(tmp_path, capsys):
     gen = rng(47)
     paths = {k: str(tmp_path / f"{k}.dsta") for k in ("X", "time", "events")}

@@ -22,10 +22,11 @@ from blockstat.distarray import (
     reduce_dims,
     reduce_into,
     scan,
+    transpose,
     zeros,
 )
 from blockstat.solvers import soft_threshold
-from conftest import raises_on_every_rank, rng, three_way_zeros
+from conftest import raises_on_every_rank, rng, run_socket, three_way_zeros
 
 
 @pytest.mark.parametrize("n,p,sizes", [
@@ -46,6 +47,20 @@ def test_partition_rejects_bad_args():
         partition_of(-1, 2)
     with pytest.raises(ValueError):
         partition_of(3, 0)
+
+
+def test_transpose_round_trips_and_rejects_other_operands():
+    def fn(comm):
+        a = zeros((3, 4), comm)
+        assert transpose(transpose(a)) is a
+        for bad in (zeros((4,), comm), np.zeros((3, 4))):
+            with pytest.raises(TypeError, match="transpose expects"):
+                transpose(bad)
+            with pytest.raises(TypeError, match="TransposedView wraps"):
+                TransposedView(bad)
+        return True
+
+    assert run_inproc(2, fn) == [True, True]
 
 
 def test_create_local_blocks():
@@ -423,6 +438,41 @@ def test_scan_integer_exact():
 
     for full in run_inproc(3, fn):
         np.testing.assert_array_equal(full, np.cumprod(data, axis=1))
+
+
+def _split_axis_scan_traffic(comm, data, op):
+    d = distribute(data if comm.rank == 0 else None, comm)
+    out = empty(data.shape, comm, data.dtype)
+    before = comm.stats()
+    with np.errstate(all="ignore"):  # inf - inf and 0 * inf are NaN, as in the oracle
+        scan(out, d, axis=-1, op=op)
+    after = comm.stats()
+    calls = {k: after[k]["calls"] - before[k]["calls"] for k in after}
+    return calls, after["allreduce"]["bytes"] - before["allreduce"]["bytes"], gather_full(out)
+
+
+@pytest.mark.parametrize("shape", [(4, 5), (3, 2)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
+@pytest.mark.parametrize("op,np_op", [("sum", np.cumsum), ("prod", np.cumprod)])
+def test_a_split_axis_scan_makes_one_allreduce_of_rows_times_p_values(shape, dtype, op, np_op):
+    # -0.0, infinities and NaN check that the identity slots change no
+    # prefix; a (3, 2) array at p = 3 leaves one rank without columns.
+    pool = [-0.0, np.inf, 1.5, np.nan, -2.0, -np.inf, 0.5, -0.0, 3.0]
+    if dtype == np.int64:
+        pool = [2**62, -3, 5, 0, 7, -1, 2]
+    data = np.resize(np.array(pool, dtype=dtype), shape[::-1]).T.copy()
+    with np.errstate(all="ignore"):
+        want = np_op(data, axis=-1)
+    for p in (2, 3):
+        runs = (run_inproc(p, _split_axis_scan_traffic, data, op)
+                + run_socket(p, _split_axis_scan_traffic, data, op))
+        first = runs[0][2]
+        for calls, nbytes, full in runs:
+            assert calls == {k: int(k == "allreduce") for k in calls}
+            assert nbytes == shape[0] * p * data.itemsize
+            assert full.tobytes() == first.tobytes()
+        np.testing.assert_array_equal(first, want)
+        assert (np.signbit(first) == np.signbit(want))[~np.isnan(want)].all()
 
 
 def test_scan_shape_mismatch():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from blockstat.comm import init, run_inproc
-from blockstat.distarray import TransposedView, distribute, empty, gather_full, zeros
+from blockstat.distarray import TransposedView, distribute, empty, gather_full, transpose, zeros
 from blockstat.distlinalg import (
     SCENARIOS,
     ScenarioError,
@@ -479,6 +479,23 @@ def test_opnorm_l2_power_sees_a_rank_1_breakdown_on_every_rank_count(m, n, dtype
             assert abs(value - want) <= rtol * want
 
 
+@pytest.mark.parametrize("seed", [3, 7, 10])
+def test_opnorm_l2_power_stops_at_rounding_on_every_rank_count(seed):
+    # A rank-3 matrix's estimate settles within a few steps.  A tol below the
+    # dtype's rounding level stops at 8 eps instead, so no rank count runs on
+    # through steps whose estimates differ only in rounding.
+    gen = np.random.default_rng(seed)
+    data = sum(np.outer(gen.standard_normal(40), gen.standard_normal(12)) for _ in range(3))
+    want = np.linalg.norm(data, 2)
+    counts = set()
+    runs = [run_inproc(p, _l2_power_allreduces, data) for p in (1, 2, 3, 6)]
+    for got in runs + [run_socket(2, _l2_power_allreduces, data)]:
+        for value, allreduces in got:
+            counts.add(allreduces)
+            assert abs(value - want) <= 1e-12 * want
+    assert len(counts) == 1
+
+
 # -- pairwise distances ---------------------------------------------------------
 
 
@@ -530,6 +547,19 @@ def test_pairwise_chunks_identical_and_match_bruteforce(p):
     np.testing.assert_array_equal(np.diag(results[0]), np.zeros(6))
 
 
+@pytest.mark.parametrize("runner,p", [(run_inproc, 1), (run_inproc, 2), (run_inproc, 7),
+                                      (run_socket, 2)], ids=["inproc1", "inproc2", "inproc7", "tcp2"])
+def test_pairwise_of_points_without_coordinates_is_all_zero(runner, p):
+    def fn(comm):
+        y = empty((5, 5), comm)
+        y.local[...] = np.nan
+        pairwise_euclidean(y, zeros((0, 5), comm))
+        return gather_full(y)
+
+    for full in runner(p, fn):
+        np.testing.assert_array_equal(full, np.zeros((5, 5)))
+
+
 def test_pairwise_extent_mismatch():
     def fn(comm):
         pairwise_euclidean(empty((4, 4), comm), empty((3, 5), comm))
@@ -572,4 +602,14 @@ def test_materialize_keeps_a_transposed_column_2d():
         "pairwise-1d", "pairwise-chunk", "dot-dense", "dot-partition", "diag-non-square",
         "diag-dist-shape", "diag-dist-partition", "diag-repl-length"])
 def test_bad_arguments_raise_on_every_rank(build, exc, match):
+    raises_on_every_rank(2, build, exc, match)
+
+
+@pytest.mark.parametrize("build,exc,match", [
+    (lambda c: matmul(np.empty((3, 2), order="F"), zeros((3, 4), c), transpose(zeros((3, 4), c))),
+     ShapeError, r"C has shape \(3, 2\), expected \(3, 3\)"),
+    (lambda c: matmul(np.empty((3, 3), order="F"), np.empty((3, 4, 2)), zeros((4, 3), c)),
+     ScenarioError, "unsupported kind"),
+], ids=["c-shape", "3d-operand"])
+def test_matmul_operand_errors_raise_on_every_rank(build, exc, match):
     raises_on_every_rank(2, build, exc, match)
